@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race bench bench-ci bench-report telemetry-smoke cluster-smoke fuzz-smoke lint lint-self ci
+.PHONY: build test vet race bench bench-ci bench-report perfbench telemetry-smoke cluster-smoke fuzz-smoke lint lint-self ci
 
 build:
 	$(GO) build ./...
@@ -40,6 +40,13 @@ bench-ci:
 # baseline, the loadgen runs record the single-vs-4-shard comparison).
 bench-report:
 	$(GO) run ./cmd/bench-report -benchtime 1x -o BENCH_8.json -label local -append -prev BENCH_7.json
+
+# Build, vet and unit-test the end-to-end benchmark harness. It is its
+# own module (.perfbench/go.mod), so `go test ./...` from the root never
+# compiles it: without this step a rename of an API the harness calls
+# would first show up as a failed benchmark run.
+perfbench:
+	cd .perfbench && $(GO) vet ./... && $(GO) test -short ./...
 
 # Boot echoimaged with the admin listener, probe /healthz and /metrics,
 # and shut it down: proves the observability endpoints answer on a real
@@ -149,4 +156,4 @@ lint:
 lint-self:
 	$(GO) run ./cmd/echoimage-lint ./internal/analysis/... ./cmd/echoimage-lint
 
-ci: vet lint lint-self test bench-ci fuzz-smoke
+ci: vet lint lint-self test perfbench bench-ci fuzz-smoke

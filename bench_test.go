@@ -8,6 +8,7 @@
 package echoimage_test
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"time"
@@ -58,7 +59,7 @@ func BenchmarkFigure5DistanceEstimation(b *testing.B) {
 func BenchmarkFigure8ImageConstruction(b *testing.B) {
 	s := experiments.Quick()
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.Figure8(s)
+		r, err := experiments.Figure8(context.Background(), s)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -73,7 +74,7 @@ func BenchmarkFigure8ImageConstruction(b *testing.B) {
 func BenchmarkFigure11OverallPerformance(b *testing.B) {
 	s := experiments.Quick()
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.Figure11(s)
+		r, err := experiments.Figure11(context.Background(), s)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -89,7 +90,7 @@ func BenchmarkFigure11OverallPerformance(b *testing.B) {
 func BenchmarkFigure12Environments(b *testing.B) {
 	s := experiments.Quick()
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.Figure12(s)
+		r, err := experiments.Figure12(context.Background(), s)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -105,7 +106,7 @@ func BenchmarkFigure12Environments(b *testing.B) {
 func BenchmarkFigure13Distance(b *testing.B) {
 	s := experiments.Quick()
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.Figure13(s)
+		r, err := experiments.Figure13(context.Background(), s)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -122,7 +123,7 @@ func BenchmarkFigure13Distance(b *testing.B) {
 func BenchmarkFigure14Augmentation(b *testing.B) {
 	s := experiments.Quick()
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.Figure14(s)
+		r, err := experiments.Figure14(context.Background(), s)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -139,7 +140,7 @@ func BenchmarkFigure14Augmentation(b *testing.B) {
 func BenchmarkReplayAttack(b *testing.B) {
 	s := experiments.Quick()
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.ReplayAttack(s)
+		r, err := experiments.ReplayAttack(context.Background(), s)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -154,7 +155,7 @@ func BenchmarkReplayAttack(b *testing.B) {
 func BenchmarkGateROC(b *testing.B) {
 	s := experiments.Quick()
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.GateROC(s)
+		r, err := experiments.GateROC(context.Background(), s)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -168,7 +169,7 @@ func BenchmarkGateROC(b *testing.B) {
 func BenchmarkSessionStability(b *testing.B) {
 	s := experiments.Quick()
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.SessionStability(s)
+		r, err := experiments.SessionStability(context.Background(), s)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -185,7 +186,7 @@ func BenchmarkSessionStability(b *testing.B) {
 func BenchmarkSingleUser(b *testing.B) {
 	s := experiments.Quick()
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.SingleUser(s)
+		r, err := experiments.SingleUser(context.Background(), s)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -222,7 +223,7 @@ func BenchmarkAblationAuthStack(b *testing.B) {
 	s.Registered = 3
 	s.Spoofers = 2
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.AuthAblation(s)
+		rows, err := experiments.AuthAblation(context.Background(), s)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -355,7 +356,7 @@ func benchImaging(b *testing.B, grid int, spacing float64) {
 	cfg := core.DefaultConfig()
 	cfg.GridRows, cfg.GridCols = grid, grid
 	cfg.GridSpacingM = spacing
-	imager, err := core.NewImager(cfg, array.ReSpeaker())
+	sys, err := core.NewSystem(cfg, array.ReSpeaker())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -363,7 +364,7 @@ func benchImaging(b *testing.B, grid int, spacing float64) {
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := imager.ConstructAll(cap, 0.7, 0.005, nil); err != nil {
+		if _, err := sys.ProcessAtDistance(context.Background(), cap, 0.7, 0.005, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -386,7 +387,7 @@ func BenchmarkImagingPlan(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	plan, err := core.NewImagingPlan(cfg, bf, cap.SampleRate, len(beeps[0][0]), 0.7, 0.005)
+	plan, err := core.NewImagingPlan(context.Background(), cfg, bf, cap.SampleRate, len(beeps[0][0]), 0.7, 0.005)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -426,14 +427,15 @@ func BenchmarkFeatureExtraction(b *testing.B) {
 	cfg := core.DefaultConfig()
 	cfg.GridRows, cfg.GridCols = 36, 36
 	cfg.GridSpacingM = 0.05
-	imager, err := core.NewImager(cfg, array.ReSpeaker())
+	sys, err := core.NewSystem(cfg, array.ReSpeaker())
 	if err != nil {
 		b.Fatal(err)
 	}
-	imgs, err := imager.ConstructAll(benchCapture(b, 1), 0.7, 0.005, nil)
+	res, err := sys.ProcessAtDistance(context.Background(), benchCapture(b, 1), 0.7, 0.005, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
+	imgs := res.Images
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -447,14 +449,15 @@ func BenchmarkExtractParallel(b *testing.B) {
 	cfg := core.DefaultConfig()
 	cfg.GridRows, cfg.GridCols = 36, 36
 	cfg.GridSpacingM = 0.05
-	imager, err := core.NewImager(cfg, array.ReSpeaker())
+	sys, err := core.NewSystem(cfg, array.ReSpeaker())
 	if err != nil {
 		b.Fatal(err)
 	}
-	imgs, err := imager.ConstructAll(benchCapture(b, 1), 0.7, 0.005, nil)
+	res, err := sys.ProcessAtDistance(context.Background(), benchCapture(b, 1), 0.7, 0.005, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
+	imgs := res.Images
 	for _, workers := range []int{1, 0} {
 		name := "workers=1"
 		if workers == 0 {
@@ -533,7 +536,7 @@ func BenchmarkAuthenticate(b *testing.B) {
 	}
 	enrollment := make(map[int][]*echoimage.AcousticImage)
 	for _, id := range []int{1, 2} {
-		imgs, err := echoimage.SimulateImages(sys, echoimage.SimulateSpec{
+		imgs, err := echoimage.SimulateImages(context.Background(), sys, echoimage.SimulateSpec{
 			UserID: id, DistanceM: 0.7, Beeps: 8, Session: 1, Seed: int64(id),
 		})
 		if err != nil {
@@ -541,11 +544,11 @@ func BenchmarkAuthenticate(b *testing.B) {
 		}
 		enrollment[id] = imgs
 	}
-	auth, err := echoimage.Train(echoimage.DefaultAuthConfig(), enrollment)
+	auth, err := echoimage.Train(context.Background(), echoimage.DefaultAuthConfig(), enrollment)
 	if err != nil {
 		b.Fatal(err)
 	}
-	probe, err := echoimage.SimulateImages(sys, echoimage.SimulateSpec{
+	probe, err := echoimage.SimulateImages(context.Background(), sys, echoimage.SimulateSpec{
 		UserID: 1, DistanceM: 0.7, Beeps: 1, Session: 3, Seed: 99,
 	})
 	if err != nil {

@@ -11,11 +11,14 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"math"
 	"os"
+	"os/signal"
 	"strings"
+	"syscall"
 
 	"echoimage"
 	"echoimage/internal/array"
@@ -53,9 +56,12 @@ func run() error {
 	cfg.GridRows, cfg.GridCols = *grid, *grid
 	cfg.GridSpacingM = *spacing
 
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+
 	switch cmd {
 	case "demo":
-		return demo(cfg)
+		return demo(ctx, cfg)
 	case "beampattern":
 		return beampattern(cfg)
 	case "spectrum":
@@ -71,7 +77,7 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		res, err := sys.Process(cap, noiseOnly)
+		res, err := sys.ProcessRecordedContext(ctx, cap, noiseOnly, nil)
 		if err != nil {
 			return err
 		}
@@ -85,7 +91,7 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		imgs, err := echoimage.SimulateImages(sys, echoimage.SimulateSpec{
+		imgs, err := echoimage.SimulateImages(ctx, sys, echoimage.SimulateSpec{
 			UserID: *user, DistanceM: *distance, Beeps: *beeps, Session: *session,
 		})
 		if err != nil {
@@ -249,7 +255,7 @@ func spectrum(user int, distance float64, beeps, session int) error {
 
 // demo enrolls two users, then authenticates a fresh capture of each and a
 // spoofer.
-func demo(cfg echoimage.Config) error {
+func demo(ctx context.Context, cfg echoimage.Config) error {
 	sys, err := echoimage.NewSystem(cfg)
 	if err != nil {
 		return err
@@ -259,7 +265,7 @@ func demo(cfg echoimage.Config) error {
 	for _, id := range []int{3, 4} {
 		var pool []*echoimage.AcousticImage
 		for placement := 0; placement < 4; placement++ {
-			imgs, err := echoimage.SimulateImages(sys, echoimage.SimulateSpec{
+			imgs, err := echoimage.SimulateImages(ctx, sys, echoimage.SimulateSpec{
 				UserID: id, DistanceM: 0.7, Beeps: 6,
 				Session: 1, Seed: int64(1000*id + placement),
 			})
@@ -270,14 +276,14 @@ func demo(cfg echoimage.Config) error {
 		}
 		enrollment[id] = pool
 	}
-	auth, err := echoimage.Train(echoimage.DefaultAuthConfig(), enrollment)
+	auth, err := echoimage.Train(ctx, echoimage.DefaultAuthConfig(), enrollment)
 	if err != nil {
 		return err
 	}
 	fmt.Printf("trained: users %v, plane bins %v\n\n", auth.Users(), auth.Bins())
 
 	try := func(label string, spec echoimage.SimulateSpec) error {
-		imgs, err := echoimage.SimulateImages(sys, spec)
+		imgs, err := echoimage.SimulateImages(ctx, sys, spec)
 		if err != nil {
 			return err
 		}

@@ -8,10 +8,13 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
+	"os/signal"
 	"strings"
+	"syscall"
 	"time"
 
 	"echoimage/internal/experiments"
@@ -40,6 +43,9 @@ func run() error {
 	default:
 		return fmt.Errorf("unknown scale %q", *scaleName)
 	}
+
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
 
 	want := map[string]bool{}
 	for _, name := range strings.Split(*runList, ",") {
@@ -78,7 +84,7 @@ func run() error {
 		return err
 	}
 	if err := step("fig8", func() error {
-		r, err := experiments.Figure8(scale)
+		r, err := experiments.Figure8(ctx, scale)
 		if err != nil {
 			return err
 		}
@@ -88,7 +94,7 @@ func run() error {
 		return err
 	}
 	if err := step("fig11", func() error {
-		r, err := experiments.Figure11(scale)
+		r, err := experiments.Figure11(ctx, scale)
 		if err != nil {
 			return err
 		}
@@ -98,7 +104,7 @@ func run() error {
 		return err
 	}
 	if err := step("fig12", func() error {
-		r, err := experiments.Figure12(scale)
+		r, err := experiments.Figure12(ctx, scale)
 		if err != nil {
 			return err
 		}
@@ -108,7 +114,7 @@ func run() error {
 		return err
 	}
 	if err := step("fig13", func() error {
-		r, err := experiments.Figure13(scale)
+		r, err := experiments.Figure13(ctx, scale)
 		if err != nil {
 			return err
 		}
@@ -118,7 +124,7 @@ func run() error {
 		return err
 	}
 	if err := step("fig14", func() error {
-		r, err := experiments.Figure14(scale)
+		r, err := experiments.Figure14(ctx, scale)
 		if err != nil {
 			return err
 		}
@@ -128,7 +134,7 @@ func run() error {
 		return err
 	}
 	if err := step("replay", func() error {
-		r, err := experiments.ReplayAttack(scale)
+		r, err := experiments.ReplayAttack(ctx, scale)
 		if err != nil {
 			return err
 		}
@@ -138,7 +144,7 @@ func run() error {
 		return err
 	}
 	if err := step("sessions", func() error {
-		r, err := experiments.SessionStability(scale)
+		r, err := experiments.SessionStability(ctx, scale)
 		if err != nil {
 			return err
 		}
@@ -148,7 +154,7 @@ func run() error {
 		return err
 	}
 	if err := step("singleuser", func() error {
-		r, err := experiments.SingleUser(scale)
+		r, err := experiments.SingleUser(ctx, scale)
 		if err != nil {
 			return err
 		}
@@ -158,7 +164,7 @@ func run() error {
 		return err
 	}
 	if err := step("gateroc", func() error {
-		r, err := experiments.GateROC(scale)
+		r, err := experiments.GateROC(ctx, scale)
 		if err != nil {
 			return err
 		}
@@ -174,7 +180,7 @@ func run() error {
 		}
 		experiments.WriteRangingAblation(out, rows)
 		fmt.Fprintln(out)
-		arows, err := experiments.AuthAblation(scale)
+		arows, err := experiments.AuthAblation(ctx, scale)
 		if err != nil {
 			return err
 		}

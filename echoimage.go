@@ -19,14 +19,16 @@
 //
 // Quickstart:
 //
+//	ctx := context.Background()
 //	sys, _ := echoimage.NewSystem(echoimage.DefaultConfig())
 //	cap, noise, _ := echoimage.Simulate(echoimage.SimulateSpec{UserID: 1, DistanceM: 0.7, Beeps: 20})
-//	res, _ := sys.Process(cap, noise)                  // ranging + imaging
-//	auth, _ := echoimage.Train(echoimage.DefaultAuthConfig(), enrollment)
-//	decision := auth.Authenticate(res.Images[0])
+//	res, _ := sys.ProcessRecordedContext(ctx, cap, noise, nil) // ranging + imaging
+//	auth, _ := echoimage.Train(ctx, echoimage.DefaultAuthConfig(), enrollment)
+//	decision, _ := auth.AuthenticateMajorityRecorded(res.Images, nil)
 package echoimage
 
 import (
+	"context"
 	"fmt"
 	"io"
 
@@ -94,8 +96,9 @@ func NewSystem(cfg Config) (*System, error) {
 }
 
 // Train fits the authenticator from enrollment images keyed by user ID.
-func Train(cfg AuthConfig, enrollment map[int][]*AcousticImage) (*Authenticator, error) {
-	return core.TrainAuthenticator(cfg, enrollment)
+// Cancelling ctx abandons the train.
+func Train(ctx context.Context, cfg AuthConfig, enrollment map[int][]*AcousticImage) (*Authenticator, error) {
+	return core.TrainAuthenticator(ctx, cfg, enrollment)
 }
 
 // Augment synthesizes a training image at a new plane distance via the
@@ -173,13 +176,14 @@ func Simulate(spec SimulateSpec) (*Capture, [][]float64, error) {
 }
 
 // SimulateImages renders a capture and runs it through the full sensing
-// front end, returning one acoustic image per beep.
-func SimulateImages(sys *System, spec SimulateSpec) ([]*AcousticImage, error) {
+// front end, returning one acoustic image per beep. Cancelling ctx
+// abandons the processing.
+func SimulateImages(ctx context.Context, sys *System, spec SimulateSpec) ([]*AcousticImage, error) {
 	cap, noiseOnly, err := Simulate(spec)
 	if err != nil {
 		return nil, err
 	}
-	res, err := sys.Process(cap, noiseOnly)
+	res, err := sys.ProcessRecordedContext(ctx, cap, noiseOnly, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package echoimage_test
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -41,7 +42,7 @@ func TestPublicPipelineEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sys.Process(cap, noiseOnly)
+	res, err := sys.ProcessRecordedContext(context.Background(), cap, noiseOnly, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +74,7 @@ func TestPublicTrainAuthenticate(t *testing.T) {
 	for _, id := range []int{1, 2} {
 		var pool []*echoimage.AcousticImage
 		for p := 0; p < 3; p++ {
-			imgs, err := echoimage.SimulateImages(sys, echoimage.SimulateSpec{
+			imgs, err := echoimage.SimulateImages(context.Background(), sys, echoimage.SimulateSpec{
 				UserID: id, DistanceM: 0.7, Beeps: 5, Session: 1, Seed: int64(100*id + p),
 			})
 			if err != nil {
@@ -83,20 +84,20 @@ func TestPublicTrainAuthenticate(t *testing.T) {
 		}
 		enrollment[id] = pool
 	}
-	auth, err := echoimage.Train(echoimage.DefaultAuthConfig(), enrollment)
+	auth, err := echoimage.Train(context.Background(), echoimage.DefaultAuthConfig(), enrollment)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := auth.Users(); len(got) != 2 || got[0] != 1 || got[1] != 2 {
 		t.Fatalf("Users() = %v", got)
 	}
-	imgs, err := echoimage.SimulateImages(sys, echoimage.SimulateSpec{
+	imgs, err := echoimage.SimulateImages(context.Background(), sys, echoimage.SimulateSpec{
 		UserID: 1, DistanceM: 0.7, Beeps: 4, Session: 3, Seed: 77,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := auth.AuthenticateMajority(imgs)
+	d, err := auth.AuthenticateMajorityRecorded(imgs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -12,6 +13,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	cfg := echoimage.DefaultConfig()
 	cfg.GridRows, cfg.GridCols = 36, 36
 	cfg.GridSpacingM = 0.05
@@ -24,7 +26,7 @@ func main() {
 	fmt.Printf("enrolling user %d at 0.7 m only...\n", userID)
 	var pool []*echoimage.AcousticImage
 	for placement := 0; placement < 4; placement++ {
-		imgs, err := echoimage.SimulateImages(sys, echoimage.SimulateSpec{
+		imgs, err := echoimage.SimulateImages(ctx, sys, echoimage.SimulateSpec{
 			UserID: userID, DistanceM: 0.7, Beeps: 6, Session: 1, Seed: int64(placement),
 		})
 		if err != nil {
@@ -49,11 +51,11 @@ func main() {
 	}
 	fmt.Printf("augmented to %d images spanning planes 0.7–1.3 m\n\n", len(augmented))
 
-	plain, err := echoimage.Train(echoimage.DefaultAuthConfig(), map[int][]*echoimage.AcousticImage{userID: pool})
+	plain, err := echoimage.Train(ctx, echoimage.DefaultAuthConfig(), map[int][]*echoimage.AcousticImage{userID: pool})
 	if err != nil {
 		log.Fatal(err)
 	}
-	boosted, err := echoimage.Train(echoimage.DefaultAuthConfig(), map[int][]*echoimage.AcousticImage{userID: augmented})
+	boosted, err := echoimage.Train(ctx, echoimage.DefaultAuthConfig(), map[int][]*echoimage.AcousticImage{userID: augmented})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -65,18 +67,18 @@ func main() {
 	fmt.Println(" reproduction finds that Eq. 15 augmentation cannot bridge the")
 	fmt.Println(" angular geometry change — see EXPERIMENTS.md, Figure 14)")
 	for _, d := range []float64{0.7, 0.9, 1.1} {
-		imgs, err := echoimage.SimulateImages(sys, echoimage.SimulateSpec{
+		imgs, err := echoimage.SimulateImages(ctx, sys, echoimage.SimulateSpec{
 			UserID: userID, DistanceM: d, Beeps: 5, Session: 3, Seed: 55,
 		})
 		if err != nil {
 			fmt.Printf("  at %.1f m: capture failed: %v\n", d, err)
 			continue
 		}
-		dp, err := plain.AuthenticateMajority(imgs)
+		dp, err := plain.AuthenticateMajorityRecorded(imgs, nil)
 		if err != nil {
 			log.Fatal(err)
 		}
-		db, err := boosted.AuthenticateMajority(imgs)
+		db, err := boosted.AuthenticateMajorityRecorded(imgs, nil)
 		if err != nil {
 			log.Fatal(err)
 		}

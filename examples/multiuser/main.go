@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -11,6 +12,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	cfg := echoimage.DefaultConfig()
 	cfg.GridRows, cfg.GridCols = 36, 36
 	cfg.GridSpacingM = 0.05
@@ -27,7 +29,7 @@ func main() {
 	for _, id := range registered {
 		var pool []*echoimage.AcousticImage
 		for placement := 0; placement < 4; placement++ {
-			imgs, err := echoimage.SimulateImages(sys, echoimage.SimulateSpec{
+			imgs, err := echoimage.SimulateImages(ctx, sys, echoimage.SimulateSpec{
 				UserID:    id,
 				DistanceM: 0.7,
 				Beeps:     6,
@@ -41,20 +43,20 @@ func main() {
 		}
 		enrollment[id] = pool
 	}
-	auth, err := echoimage.Train(echoimage.DefaultAuthConfig(), enrollment)
+	auth, err := echoimage.Train(ctx, echoimage.DefaultAuthConfig(), enrollment)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("trained on %d users, plane bins %v\n\n", len(auth.Users()), auth.Bins())
 
 	attempt := func(id int, kind string) {
-		imgs, err := echoimage.SimulateImages(sys, echoimage.SimulateSpec{
+		imgs, err := echoimage.SimulateImages(ctx, sys, echoimage.SimulateSpec{
 			UserID: id, DistanceM: 0.7, Beeps: 5, Session: 3, Seed: int64(7000 + id),
 		})
 		if err != nil {
 			log.Fatal(err)
 		}
-		d, err := auth.AuthenticateMajority(imgs)
+		d, err := auth.AuthenticateMajorityRecorded(imgs, nil)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -12,6 +13,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	cfg := echoimage.DefaultConfig()
 	cfg.GridRows, cfg.GridCols = 36, 36
 	cfg.GridSpacingM = 0.05
@@ -24,7 +26,7 @@ func main() {
 	fmt.Printf("enrolling user %d in a quiet laboratory...\n", userID)
 	var pool []*echoimage.AcousticImage
 	for placement := 0; placement < 4; placement++ {
-		imgs, err := echoimage.SimulateImages(sys, echoimage.SimulateSpec{
+		imgs, err := echoimage.SimulateImages(ctx, sys, echoimage.SimulateSpec{
 			UserID:    userID,
 			DistanceM: 0.7,
 			Beeps:     6,
@@ -38,7 +40,7 @@ func main() {
 		}
 		pool = append(pool, imgs...)
 	}
-	auth, err := echoimage.Train(echoimage.DefaultAuthConfig(), map[int][]*echoimage.AcousticImage{
+	auth, err := echoimage.Train(ctx, echoimage.DefaultAuthConfig(), map[int][]*echoimage.AcousticImage{
 		userID: pool,
 	})
 	if err != nil {
@@ -57,7 +59,7 @@ func main() {
 	}
 	fmt.Println("authenticating the returning user under noise:")
 	for _, c := range conditions {
-		imgs, err := echoimage.SimulateImages(sys, echoimage.SimulateSpec{
+		imgs, err := echoimage.SimulateImages(ctx, sys, echoimage.SimulateSpec{
 			UserID:       userID,
 			DistanceM:    0.7,
 			Beeps:        5,
@@ -71,7 +73,7 @@ func main() {
 			fmt.Printf("  %-22s capture failed: %v\n", c.name, err)
 			continue
 		}
-		d, err := auth.AuthenticateMajority(imgs)
+		d, err := auth.AuthenticateMajorityRecorded(imgs, nil)
 		if err != nil {
 			log.Fatal(err)
 		}

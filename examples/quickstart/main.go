@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -11,6 +12,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	// A small imaging grid keeps the example interactive; the physics and
 	// pipeline are identical to the full-scale configuration.
 	cfg := echoimage.DefaultConfig()
@@ -27,7 +29,7 @@ func main() {
 	fmt.Println("enrolling user 3...")
 	var enrollImgs []*echoimage.AcousticImage
 	for placement := 0; placement < 4; placement++ {
-		imgs, err := echoimage.SimulateImages(sys, echoimage.SimulateSpec{
+		imgs, err := echoimage.SimulateImages(ctx, sys, echoimage.SimulateSpec{
 			UserID:    3,
 			DistanceM: 0.7,
 			Beeps:     6,
@@ -42,7 +44,7 @@ func main() {
 	fmt.Printf("collected %d acoustic images (plane at %.2f m)\n",
 		len(enrollImgs), enrollImgs[0].PlaneDistM)
 
-	auth, err := echoimage.Train(echoimage.DefaultAuthConfig(), map[int][]*echoimage.AcousticImage{
+	auth, err := echoimage.Train(ctx, echoimage.DefaultAuthConfig(), map[int][]*echoimage.AcousticImage{
 		3: enrollImgs,
 	})
 	if err != nil {
@@ -50,13 +52,13 @@ func main() {
 	}
 
 	// Authentication: the same user returns days later (session 3).
-	legit, err := echoimage.SimulateImages(sys, echoimage.SimulateSpec{
+	legit, err := echoimage.SimulateImages(ctx, sys, echoimage.SimulateSpec{
 		UserID: 3, DistanceM: 0.7, Beeps: 5, Session: 3, Seed: 99,
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	decision, err := auth.AuthenticateMajority(legit)
+	decision, err := auth.AuthenticateMajorityRecorded(legit, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -64,13 +66,13 @@ func main() {
 		decision.Accepted, decision.GateScore)
 
 	// An impostor (roster user 15, never enrolled) tries the same spot.
-	spoof, err := echoimage.SimulateImages(sys, echoimage.SimulateSpec{
+	spoof, err := echoimage.SimulateImages(ctx, sys, echoimage.SimulateSpec{
 		UserID: 15, DistanceM: 0.7, Beeps: 5, Session: 3, Seed: 43,
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	decision, err = auth.AuthenticateMajority(spoof)
+	decision, err = auth.AuthenticateMajorityRecorded(spoof, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

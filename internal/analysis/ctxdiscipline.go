@@ -7,40 +7,23 @@ import (
 	"strings"
 )
 
-// CtxConfig tunes the cancellation-discipline analyzer.
-type CtxConfig struct {
-	// Allowlist names the documented non-Context compat wrappers that
-	// may root a fresh context.Background: "pkgpath.Func" for functions,
-	// "pkgpath.Type.Method" for methods. Everything else outside package
-	// main and _test.go files is a violation.
-	Allowlist []string
-}
-
-// CtxDiscipline enforces the PR 4 cancellation contract: context.Context
-// is always the first parameter, and new root contexts
-// (context.Background / context.TODO) appear only in main, in tests, and
-// in the explicitly allowlisted compat wrappers — everywhere else the
+// CtxDiscipline enforces the cancellation contract: context.Context is
+// always the first parameter, and new root contexts (context.Background /
+// context.TODO) appear only in main and in tests — everywhere else the
 // caller's context must be threaded through, or a cancelled request
-// keeps burning pipeline CPU.
-type CtxDiscipline struct {
-	allow map[string]bool
-}
+// keeps burning pipeline CPU. A long-lived component that owns its own
+// lifetime roots its context under an audited lint-ignore.
+type CtxDiscipline struct{}
 
-// NewCtxDiscipline builds the analyzer from an explicit allowlist.
-func NewCtxDiscipline(cfg CtxConfig) *CtxDiscipline {
-	allow := make(map[string]bool, len(cfg.Allowlist))
-	for _, name := range cfg.Allowlist {
-		allow[name] = true
-	}
-	return &CtxDiscipline{allow: allow}
-}
+// NewCtxDiscipline builds the analyzer.
+func NewCtxDiscipline() *CtxDiscipline { return &CtxDiscipline{} }
 
 // Name implements Analyzer.
 func (c *CtxDiscipline) Name() string { return "ctxdiscipline" }
 
 // Doc implements Analyzer.
 func (c *CtxDiscipline) Doc() string {
-	return "context.Context must be the first parameter; context.Background/TODO only in main, tests, and allowlisted compat wrappers"
+	return "context.Context must be the first parameter; context.Background/TODO only in main and tests"
 }
 
 // Check implements Analyzer.
@@ -94,13 +77,8 @@ func (c *CtxDiscipline) checkParams(pkg *Package, fn *ast.FuncDecl) []Diagnostic
 	return diags
 }
 
-// checkRoots flags context.Background / context.TODO calls outside the
-// allowlist.
+// checkRoots flags context.Background / context.TODO calls.
 func (c *CtxDiscipline) checkRoots(pkg *Package, fn *ast.FuncDecl) []Diagnostic {
-	qualified := qualifiedFuncName(pkg, fn)
-	if c.allow[qualified] {
-		return nil
-	}
 	var diags []Diagnostic
 	ast.Inspect(fn, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
@@ -120,7 +98,7 @@ func (c *CtxDiscipline) checkRoots(pkg *Package, fn *ast.FuncDecl) []Diagnostic 
 		diags = append(diags, Diagnostic{
 			Pos:  pkg.Fset.Position(call.Pos()),
 			Rule: c.Name(),
-			Message: fmt.Sprintf("context.%s in %s: thread the caller's context instead (only main, tests, and allowlisted compat wrappers may root a new context)",
+			Message: fmt.Sprintf("context.%s in %s: thread the caller's context instead (only main and tests may root a new context)",
 				sel.Sel.Name, funcDisplayName(fn)),
 		})
 		return true
@@ -134,15 +112,6 @@ func funcDisplayName(fn *ast.FuncDecl) string {
 		return "(" + recv + ")." + fn.Name.Name
 	}
 	return fn.Name.Name
-}
-
-// qualifiedFuncName renders the allowlist key: "pkgpath.Func" or
-// "pkgpath.Type.Method".
-func qualifiedFuncName(pkg *Package, fn *ast.FuncDecl) string {
-	if recv := receiverTypeName(fn); recv != "" {
-		return pkg.Path + "." + recv + "." + fn.Name.Name
-	}
-	return pkg.Path + "." + fn.Name.Name
 }
 
 // receiverTypeName extracts the bare receiver type name ("System" from

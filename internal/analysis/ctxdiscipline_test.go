@@ -3,13 +3,7 @@ package analysis
 import "testing"
 
 func TestCtxDisciplineGolden(t *testing.T) {
-	suite := []Analyzer{NewCtxDiscipline(CtxConfig{
-		Allowlist: []string{
-			fixtureBase + "/ctxdiscipline/ctxpkg.Compat",
-			fixtureBase + "/ctxdiscipline/ctxpkg.Item.Wrap",
-		},
-	})}
-	diags := runFixture(t, suite,
+	diags := runFixture(t, []Analyzer{NewCtxDiscipline()},
 		"ctxdiscipline/ctxpkg", "ctxdiscipline/ctxmain")
 	checkGolden(t, "ctxdiscipline", diags)
 }

@@ -78,7 +78,7 @@ func TestDriverExitCodes(t *testing.T) {
 	})
 
 	// The jsondriver fixture carries three rule hits: a live
-	// goroutinelife finding, a poolcheck finding silenced by an audited
+	// goroutinelife finding, a lockguard finding silenced by an audited
 	// ignore, and the package's missing layering DAG entry.
 	fixture := fixtureBase + "/jsondriver/jsonpkg"
 
@@ -107,8 +107,8 @@ func TestDriverExitCodes(t *testing.T) {
 			}
 			suppressed[f.Rule] = f.Suppressed
 		}
-		if v, ok := suppressed["poolcheck"]; !ok || !v {
-			t.Errorf("suppressed poolcheck finding missing from -json output: %s", stdout)
+		if v, ok := suppressed["lockguard"]; !ok || !v {
+			t.Errorf("suppressed lockguard finding missing from -json output: %s", stdout)
 		}
 		if v, ok := suppressed["goroutinelife"]; !ok || v {
 			t.Errorf("live goroutinelife finding missing or wrongly suppressed: %s", stdout)
@@ -133,10 +133,10 @@ func TestDriverExitCodes(t *testing.T) {
 	})
 
 	t.Run("rules filter keeps foreign ignores valid", func(t *testing.T) {
-		// Only poolcheck runs; its sole finding is suppressed, and the
+		// Only lockguard runs; its sole finding is suppressed, and the
 		// suppression must not be reported as an unknown rule even
 		// though no other analyzer in the filtered set exists.
-		cmd := exec.Command(bin, "-rules", "poolcheck", fixture)
+		cmd := exec.Command(bin, "-rules", "lockguard", fixture)
 		cmd.Dir = root
 		out, err := cmd.CombinedOutput()
 		if err != nil {

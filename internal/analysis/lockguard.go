@@ -3,6 +3,7 @@ package analysis
 import (
 	"fmt"
 	"go/ast"
+	"go/token"
 	"go/types"
 	"regexp"
 	"strings"
@@ -544,6 +545,50 @@ func renderExpr(expr ast.Expr) string {
 		return renderExpr(e.X) + "[i]"
 	}
 	return "?"
+}
+
+// rootObj walks expr down to the identifier it is built from —
+// through parens, type asserts, &/* derefs, indexing, slicing, and
+// struct field selection — setting *viaField when the chain crosses a
+// field. Returns nil for call results, literals, and package names.
+func rootObj(pkg *Package, expr ast.Expr, viaField *bool) types.Object {
+	for {
+		switch e := expr.(type) {
+		case *ast.ParenExpr:
+			expr = e.X
+		case *ast.TypeAssertExpr:
+			expr = e.X
+		case *ast.UnaryExpr:
+			if e.Op != token.AND && e.Op != token.MUL {
+				return nil
+			}
+			expr = e.X
+		case *ast.StarExpr:
+			expr = e.X
+		case *ast.IndexExpr:
+			expr = e.X
+		case *ast.SliceExpr:
+			expr = e.X
+		case *ast.SelectorExpr:
+			if s, ok := pkg.Info.Selections[e]; !ok || s.Kind() != types.FieldVal {
+				return nil
+			}
+			*viaField = true
+			expr = e.X
+		case *ast.Ident:
+			return identObj(pkg, e)
+		default:
+			return nil
+		}
+	}
+}
+
+// identObj resolves an identifier to its object, def or use.
+func identObj(pkg *Package, id *ast.Ident) types.Object {
+	if obj := pkg.Info.Uses[id]; obj != nil {
+		return obj
+	}
+	return pkg.Info.Defs[id]
 }
 
 var _ Analyzer = (*LockGuard)(nil)

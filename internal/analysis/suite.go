@@ -14,10 +14,9 @@ const Module = "echoimage"
 var mathLayerStdBan = []string{"net", "os", "syscall"}
 
 // DefaultSuite returns the analyzers configured for the echoimage tree:
-// the declared import DAG, the context-discipline allowlist of
-// documented compat wrappers, the closed proto error-code set, the
-// telemetry series-name contract, and the float-comparison ban over the
-// numerical core.
+// the declared import DAG, context discipline, the closed proto
+// error-code set, the telemetry series-name contract, the float-comparison
+// ban over the numerical core, and the tree-wide dataflow rules.
 func DefaultSuite() []Analyzer {
 	return []Analyzer{
 		NewLayering(LayeringConfig{
@@ -142,17 +141,7 @@ func DefaultSuite() []Analyzer {
 			},
 		}),
 
-		NewCtxDiscipline(CtxConfig{
-			// The documented non-Context compat wrappers: each is a thin
-			// shim over its *Context twin, kept for the pre-PR 4 API.
-			Allowlist: []string{
-				"echoimage/internal/core.System.Process",
-				"echoimage/internal/core.System.ProcessRecorded",
-				"echoimage/internal/core.NewImagingPlan",
-				"echoimage/internal/core.Imager.ConstructAll",
-				"echoimage/internal/core.TrainAuthenticator",
-			},
-		}),
+		NewCtxDiscipline(),
 
 		NewErrCodes(ErrCodesConfig{
 			Packages:    []string{"echoimage/internal/daemon", "echoimage/internal/cluster"},
@@ -180,10 +169,9 @@ func DefaultSuite() []Analyzer {
 		}),
 
 		// ── dataflow analyzers (lint v2) ──
-		// Pool ownership, goroutine lifecycle, guarded-field locking,
-		// and proto-code switch exhaustiveness run tree-wide: the
-		// invariants they encode hold everywhere, not per layer.
-		NewPoolCheck(),
+		// Goroutine lifecycle, guarded-field locking, and proto-code
+		// switch exhaustiveness run tree-wide: the invariants they
+		// encode hold everywhere, not per layer.
 		NewGoroutineLife(),
 		NewLockGuard(),
 		NewCodeSwitch(CodeSwitchConfig{

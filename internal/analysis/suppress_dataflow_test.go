@@ -5,11 +5,11 @@ import (
 	"testing"
 )
 
-// dataflowSuppressSuite runs the three dataflow rules the fixture
+// dataflowSuppressSuite runs the two dataflow rules the fixture
 // exercises together, so cross-rule ignores resolve as "known rule,
 // wrong line" rather than "unknown rule".
 func dataflowSuppressSuite() []Analyzer {
-	return []Analyzer{NewPoolCheck(), NewGoroutineLife(), NewLockGuard()}
+	return []Analyzer{NewGoroutineLife(), NewLockGuard()}
 }
 
 func TestDataflowSuppressionGolden(t *testing.T) {
@@ -28,13 +28,13 @@ func TestDataflowSuppressionSemantics(t *testing.T) {
 		byLine[d.Pos.Line] = append(byLine[d.Pos.Line], d)
 	}
 	src := markerLines(t, "testdata/src/suppress/dataflowpkg/dataflowpkg.go", []string{
-		"func SuppressedLeak", "func WrongRuleIgnore", "func OnePerLine", "func UnknownRule",
+		"func SuppressedRace", "func WrongRuleIgnore", "func OnePerLine", "func UnknownRule",
 	})
 
-	// The audited poolcheck leak is silent.
-	for line := src["func SuppressedLeak"]; line < src["func SuppressedLeak"]+5; line++ {
+	// The audited lockguard violation is silent.
+	for line := src["func SuppressedRace"]; line < src["func SuppressedRace"]+4; line++ {
 		if len(byLine[line]) != 0 {
-			t.Errorf("SuppressedLeak: unexpected diagnostics near line %d: %v", line, byLine[line])
+			t.Errorf("SuppressedRace: unexpected diagnostics near line %d: %v", line, byLine[line])
 		}
 	}
 	// A goroutinelife ignore does not silence a lockguard finding.
@@ -53,8 +53,8 @@ func TestDataflowSuppressionSemantics(t *testing.T) {
 	if !hasRuleNear(byLine, src["func UnknownRule"], "lint-ignore") {
 		t.Error("UnknownRule: missing lint-ignore finding for misspelled rule")
 	}
-	if !hasRuleNear(byLine, src["func UnknownRule"], "poolcheck") {
-		t.Error("UnknownRule: poolcheck leak should survive a misspelled ignore")
+	if !hasRuleNear(byLine, src["func UnknownRule"], "lockguard") {
+		t.Error("UnknownRule: lockguard finding should survive a misspelled ignore")
 	}
 }
 

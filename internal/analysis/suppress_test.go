@@ -10,7 +10,7 @@ import (
 func suppressSuite() []Analyzer {
 	return []Analyzer{
 		NewFloatEq(FloatEqConfig{Packages: []string{fixtureBase + "/suppress/ignorepkg"}}),
-		NewCtxDiscipline(CtxConfig{}),
+		NewCtxDiscipline(),
 	}
 }
 

@@ -1,5 +1,5 @@
 // Package ctxpkg is a ctxdiscipline fixture: misplaced Context
-// parameters and un-allowlisted root contexts.
+// parameters and root contexts outside main and tests.
 package ctxpkg
 
 import "context"
@@ -17,7 +17,7 @@ func Good(ctx context.Context, id int) error {
 	return ctx.Err()
 }
 
-// Root roots a fresh context outside the allowlist: a violation.
+// Root roots a fresh context outside main: a violation.
 func Root() error {
 	return Good(context.Background(), 1)
 }
@@ -27,12 +27,8 @@ func Todo() error {
 	return Good(context.TODO(), 2)
 }
 
-// Compat is allowlisted by the test config: clean.
-func Compat() error {
-	return Good(context.Background(), 3)
-}
-
-// Wrap is an allowlisted method: clean.
+// Wrap is the same violation inside a method: a non-Context wrapper
+// over a Context function has no exemption.
 func (it *Item) Wrap() error {
 	return Good(context.Background(), it.id)
 }

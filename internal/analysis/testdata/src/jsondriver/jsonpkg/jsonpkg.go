@@ -1,17 +1,20 @@
 // Package jsonpkg is a driver fixture for -json and -rules: one live
-// goroutinelife violation, one suppressed poolcheck violation, and the
+// goroutinelife violation, one suppressed lockguard violation, and the
 // package itself is undeclared in the layering DAG (a third, live rule).
 package jsonpkg
 
 import "sync"
 
-var pool = sync.Pool{New: func() any { return new([]byte) }}
+type counter struct {
+	mu sync.Mutex
+	n  int // guarded by mu
+}
 
-// LeakSuppressed drops a pooled buffer on purpose; the audited ignore
-// keeps the finding visible to -json while keeping the exit code clean.
-func LeakSuppressed() {
-	buf := pool.Get().(*[]byte) //echoimage:lint-ignore poolcheck fixture: suppressed leak stays visible in -json
-	_ = buf
+// ReadSuppressed reads a guarded field unlocked on purpose; the audited
+// ignore keeps the finding visible to -json while keeping the exit code
+// clean.
+func ReadSuppressed(c *counter) int {
+	return c.n //echoimage:lint-ignore lockguard fixture: suppressed finding stays visible in -json
 }
 
 // Spawn leaks an unstoppable goroutine: the live finding.

@@ -1,22 +1,20 @@
 // Package dataflowpkg is a suppression fixture for the dataflow rules:
-// poolcheck, goroutinelife and lockguard interact with lint-ignore the
-// same way the expression rules do — one rule, one line, audited reason.
+// goroutinelife and lockguard interact with lint-ignore the same way the
+// expression rules do — one rule, one line, audited reason.
 package dataflowpkg
 
 import "sync"
-
-var bufs = sync.Pool{New: func() any { return new([]byte) }}
 
 type counter struct {
 	mu sync.Mutex
 	n  int // guarded by mu
 }
 
-// SuppressedLeak leaks a pooled buffer under an audited ignore: silenced.
-func SuppressedLeak() {
-	//echoimage:lint-ignore poolcheck fixture: deliberate leak under audit
-	b := bufs.Get().(*[]byte)
-	_ = b
+// SuppressedRace reads a guarded field unlocked under an audited
+// ignore: silenced.
+func SuppressedRace(c *counter) int {
+	//echoimage:lint-ignore lockguard fixture: deliberate unlocked read under audit
+	return c.n
 }
 
 // WrongRuleIgnore carries a goroutinelife ignore on a lockguard
@@ -35,9 +33,8 @@ func OnePerLine() {
 }
 
 // UnknownRule misspells the rule name: the ignore itself is a finding
-// and the poolcheck leak below it survives.
-func UnknownRule() {
-	//echoimage:lint-ignore poolchk fixture: misspelled rule name
-	b := bufs.Get().(*[]byte)
-	_ = b
+// and the lockguard violation below it survives.
+func UnknownRule(c *counter) int {
+	//echoimage:lint-ignore lockgard fixture: misspelled rule name
+	return c.n
 }

@@ -1,6 +1,7 @@
 package cmat
 
 import (
+	"fmt"
 	"math"
 	"math/cmplx"
 	"math/rand"
@@ -205,4 +206,82 @@ func TestNewPanicsOnNegative(t *testing.T) {
 		}
 	}()
 	New(-1, 2)
+}
+
+// Inverse returns the inverse of a square matrix via Gauss-Jordan
+// elimination with partial pivoting. Singular and near-singular matrices
+// return an error: a pivot is rejected when it falls below a tolerance
+// scaled to the matrix's infinity norm, so an ill-conditioned covariance
+// fails deterministically instead of amplifying rounding noise into
+// garbage weights. It is test-only: the MVDR path solves through
+// Factor/SolveInPlace, and Inverse is the Gauss-Jordan reference the
+// Cholesky tests compare against.
+func (m *Matrix) Inverse() (*Matrix, error) {
+	if m.Rows != m.Cols {
+		return nil, fmt.Errorf("cmat: cannot invert %dx%d matrix", m.Rows, m.Cols)
+	}
+	n := m.Rows
+	// Infinity norm (max absolute row sum) of the input fixes the scale
+	// pivots are judged against.
+	var norm float64
+	for i := 0; i < n; i++ {
+		var rowSum float64
+		for j := 0; j < n; j++ {
+			rowSum += cmplx.Abs(m.At(i, j))
+		}
+		if rowSum > norm {
+			norm = rowSum
+		}
+	}
+	pivotTol := norm * float64(n) * 1e-14
+	a := m.Clone()
+	inv := Identity(n)
+	for col := 0; col < n; col++ {
+		// Partial pivot: largest magnitude in this column at or below the
+		// diagonal.
+		pivot, pivotMag := -1, 0.0
+		for r := col; r < n; r++ {
+			if mag := cmplx.Abs(a.At(r, col)); mag > pivotMag {
+				pivot, pivotMag = r, mag
+			}
+		}
+		if pivot < 0 || pivotMag <= pivotTol {
+			return nil, fmt.Errorf("cmat: singular matrix (pivot %d below tolerance %g)", col, pivotTol)
+		}
+		if pivot != col {
+			swapRows(a, pivot, col)
+			swapRows(inv, pivot, col)
+		}
+		// Scale the pivot row.
+		p := a.At(col, col)
+		for j := 0; j < n; j++ {
+			a.Set(col, j, a.At(col, j)/p)
+			inv.Set(col, j, inv.At(col, j)/p)
+		}
+		// Eliminate the column from every other row.
+		for r := 0; r < n; r++ {
+			if r == col {
+				continue
+			}
+			f := a.At(r, col)
+			// Exact-zero entries need no elimination; any nonzero f,
+			// however tiny, must still be eliminated.
+			if f == 0 {
+				continue
+			}
+			for j := 0; j < n; j++ {
+				a.Set(r, j, a.At(r, j)-f*a.At(col, j))
+				inv.Set(r, j, inv.At(r, j)-f*inv.At(col, j))
+			}
+		}
+	}
+	return inv, nil
+}
+
+func swapRows(m *Matrix, i, j int) {
+	ri := m.Data[i*m.Cols : (i+1)*m.Cols]
+	rj := m.Data[j*m.Cols : (j+1)*m.Cols]
+	for k := range ri {
+		ri[k], rj[k] = rj[k], ri[k]
+	}
 }

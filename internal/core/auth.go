@@ -175,19 +175,11 @@ type authScratch struct {
 }
 
 // TrainAuthenticator fits the classifier stack from enrollment images,
-// keyed by registered user ID (IDs must be positive). It is a
-// documented non-Context compat wrapper (allowlisted for the
-// ctxdiscipline lint rule); cancellable callers — the registry's
-// retrain worker — use TrainAuthenticatorContext.
-func TrainAuthenticator(cfg AuthConfig, enrollment map[int][]*AcousticImage) (*Authenticator, error) {
-	return TrainAuthenticatorContext(context.Background(), cfg, enrollment)
-}
-
-// TrainAuthenticatorContext is TrainAuthenticator with cancellation: the
-// context is checked between feature extraction passes and between
-// per-bin model fits, so a background retrain worker can abandon a train
-// whose enrollment snapshot has become obsolete.
-func TrainAuthenticatorContext(ctx context.Context, cfg AuthConfig, enrollment map[int][]*AcousticImage) (*Authenticator, error) {
+// keyed by registered user ID (IDs must be positive). The context is
+// checked between feature extraction passes and between per-bin model
+// fits, so a background retrain worker can abandon a train whose
+// enrollment snapshot has become obsolete.
+func TrainAuthenticator(ctx context.Context, cfg AuthConfig, enrollment map[int][]*AcousticImage) (*Authenticator, error) {
 	if len(enrollment) == 0 {
 		return nil, fmt.Errorf("core: no enrollment data")
 	}
@@ -419,7 +411,7 @@ func (a *Authenticator) Extractor() *features.Extractor { return a.extractor }
 
 // IdentifyMode reports the identification engine this model serves with:
 // IdentifyANN when the embedding index exists, IdentifyExhaustive
-// otherwise (exhaustive-mode trains and pre-embedding snapshots).
+// otherwise (exhaustive-mode trains).
 func (a *Authenticator) IdentifyMode() IdentifyMode {
 	for _, bm := range a.bins {
 		if bm.ann != nil {
@@ -614,17 +606,12 @@ func (bm *binModel) rerank(x []float64, res []index.Result) int {
 	return best
 }
 
-// AuthenticateMajority fuses decisions across the images of one capture
-// (one image per beep): the sample is accepted when a strict majority of
-// images pass the gate, and the identified user is the modal identity among
-// accepted images.
-func (a *Authenticator) AuthenticateMajority(imgs []*AcousticImage) (AuthResult, error) {
-	return a.AuthenticateMajorityRecorded(imgs, nil)
-}
-
-// AuthenticateMajorityRecorded is AuthenticateMajority with stage
-// instrumentation: a non-nil recorder receives one features span, one
-// index-search span (ANN mode) and one classify span per image.
+// AuthenticateMajorityRecorded fuses decisions across the images of one
+// capture (one image per beep): the sample is accepted when a strict
+// majority of images pass the gate, and the identified user is the modal
+// identity among accepted images. A non-nil recorder receives one
+// features span, one index-search span (ANN mode) and one classify span
+// per image; a nil recorder adds no work.
 func (a *Authenticator) AuthenticateMajorityRecorded(imgs []*AcousticImage, rec StageRecorder) (AuthResult, error) {
 	if len(imgs) == 0 {
 		return AuthResult{}, fmt.Errorf("core: no images to authenticate")

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"testing"
 
 	"echoimage/internal/array"
@@ -34,7 +35,7 @@ func sessionImages(t *testing.T, sys *core.System, p body.Profile, distance floa
 	if placements > 1 {
 		spec.PlaneOffsets = []float64{-0.03, 0.03}
 	}
-	imgs, err := dataset.CollectImages(sys, spec, true)
+	imgs, err := dataset.CollectImages(context.Background(), sys, spec, true)
 	if err != nil {
 		t.Fatalf("collect images (user %d session %d): %v", p.ID, session, err)
 	}
@@ -62,7 +63,7 @@ func TestEndToEndAuthentication(t *testing.T) {
 	for _, p := range registered {
 		enrollment[p.ID] = sessionImages(t, sys, p, 0.7, 1, trainBeeps, 4, 1000)
 	}
-	auth, err := core.TrainAuthenticator(core.DefaultAuthConfig(), enrollment)
+	auth, err := core.TrainAuthenticator(context.Background(), core.DefaultAuthConfig(), enrollment)
 	if err != nil {
 		t.Fatalf("TrainAuthenticator: %v", err)
 	}

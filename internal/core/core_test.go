@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -209,19 +210,19 @@ func TestFitWhitenerDegenerate(t *testing.T) {
 }
 
 func TestTrainAuthenticatorValidation(t *testing.T) {
-	if _, err := TrainAuthenticator(DefaultAuthConfig(), nil); err == nil {
+	if _, err := TrainAuthenticator(context.Background(), DefaultAuthConfig(), nil); err == nil {
 		t.Error("empty enrollment accepted")
 	}
 	bad := map[int][]*AcousticImage{-1: {}}
-	if _, err := TrainAuthenticator(DefaultAuthConfig(), bad); err == nil {
+	if _, err := TrainAuthenticator(context.Background(), DefaultAuthConfig(), bad); err == nil {
 		t.Error("negative user ID accepted")
 	}
 	empty := map[int][]*AcousticImage{1: {}}
-	if _, err := TrainAuthenticator(DefaultAuthConfig(), empty); err == nil {
+	if _, err := TrainAuthenticator(context.Background(), DefaultAuthConfig(), empty); err == nil {
 		t.Error("user with no images accepted")
 	}
 	nilImg := map[int][]*AcousticImage{1: {nil}}
-	if _, err := TrainAuthenticator(DefaultAuthConfig(), nilImg); err == nil {
+	if _, err := TrainAuthenticator(context.Background(), DefaultAuthConfig(), nilImg); err == nil {
 		t.Error("nil image accepted")
 	}
 }
@@ -242,7 +243,7 @@ func TestSystemRejectsGarbageCapture(t *testing.T) {
 	for m := range silent.Beeps[0] {
 		silent.Beeps[0][m] = make([]float64, 2400)
 	}
-	if _, err := sys.Process(silent, nil); err == nil {
+	if _, err := sys.ProcessRecordedContext(context.Background(), silent, nil, nil); err == nil {
 		t.Error("silent capture processed without error")
 	}
 }
@@ -263,7 +264,7 @@ func TestProcessAtDistanceValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	cap := &Capture{Beeps: [][][]float64{{make([]float64, 100), make([]float64, 100), make([]float64, 100), make([]float64, 100), make([]float64, 100), make([]float64, 100)}}, SampleRate: 48000}
-	if _, err := sys.ProcessAtDistance(cap, -1, 0, nil); err == nil {
+	if _, err := sys.ProcessAtDistance(context.Background(), cap, -1, 0, nil); err == nil {
 		t.Error("negative plane distance accepted")
 	}
 }

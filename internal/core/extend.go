@@ -13,10 +13,9 @@ import (
 // CanExtend reports whether this model supports incremental extension
 // with new users (ExtendContext). It requires the ANN identification
 // engine — every bin carries its embedding set, index and fitted kernel
-// width — and per-user verification gates. Exhaustive-mode models,
+// width — and per-user verification gates. Exhaustive-mode models and
 // pooled-gate models (the pooled sphere would have to be refit over every
-// user's data) and snapshots persisted before the embedding space existed
-// (format v1) report false; the registry then falls back to a full
+// user's data) report false; the registry then falls back to a full
 // retrain.
 func (a *Authenticator) CanExtend() bool {
 	if a.cfg.PooledGate || a.cfg.Identify.mode() != IdentifyANN {

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -49,7 +50,7 @@ func TestClippedCaptureStillRanges(t *testing.T) {
 		t.Fatal(err)
 	}
 	cap := &core.Capture{Beeps: recs, SampleRate: scene.Config.SampleRate, Reference: ref}
-	res, err := sys.Process(cap, noiseOnly)
+	res, err := sys.ProcessRecordedContext(context.Background(), cap, noiseOnly, nil)
 	if err != nil {
 		t.Fatalf("clipped capture failed outright: %v", err)
 	}
@@ -94,7 +95,7 @@ func TestWalkingUserBlursImages(t *testing.T) {
 			t.Fatal(err)
 		}
 		cap := &core.Capture{Beeps: recs, SampleRate: scene.Config.SampleRate, Reference: ref}
-		res, err := sys.Process(cap, noiseOnly)
+		res, err := sys.ProcessRecordedContext(context.Background(), cap, noiseOnly, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -145,7 +146,7 @@ func TestMissingNoiseCaptureFallsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sys.Process(cap, nil)
+	res, err := sys.ProcessRecordedContext(context.Background(), cap, nil, nil)
 	if err != nil {
 		t.Fatalf("processing without noise capture: %v", err)
 	}
@@ -163,7 +164,7 @@ func TestWrongChannelCountRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	cap.Reference = cap.Reference[:3]
-	if _, err := sys.Process(cap, nil); err == nil {
+	if _, err := sys.ProcessRecordedContext(context.Background(), cap, nil, nil); err == nil {
 		t.Error("mismatched reference accepted")
 	}
 }

@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/base64"
 	"encoding/json"
 	"math/rand"
@@ -68,11 +69,11 @@ func TestIdentifyANNMatchesExhaustive(t *testing.T) {
 	exCfg := cheapAuthConfig()
 	exCfg.Identify.Mode = core.IdentifyExhaustive
 
-	annAuth, err := core.TrainAuthenticator(annCfg, enroll)
+	annAuth, err := core.TrainAuthenticator(context.Background(), annCfg, enroll)
 	if err != nil {
 		t.Fatalf("train ANN: %v", err)
 	}
-	exAuth, err := core.TrainAuthenticator(exCfg, enroll)
+	exAuth, err := core.TrainAuthenticator(context.Background(), exCfg, enroll)
 	if err != nil {
 		t.Fatalf("train exhaustive: %v", err)
 	}
@@ -121,7 +122,7 @@ func TestShortlistPastSVMBound(t *testing.T) {
 	cfg := cheapAuthConfig()
 	cfg.Identify.MaxSVMUsers = 8 // far below the 20-user roster
 	enroll, probe := synthRoster(20, 5, 3, 7)
-	auth, err := core.TrainAuthenticator(cfg, enroll)
+	auth, err := core.TrainAuthenticator(context.Background(), cfg, enroll)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +152,7 @@ func TestShortlistPastSVMBound(t *testing.T) {
 // exact bytes, and the loaded model answers fixed queries identically.
 func TestPersistRoundTripByteIdentity(t *testing.T) {
 	enroll, probe := synthRoster(6, 5, 3, 99)
-	auth, err := core.TrainAuthenticator(cheapAuthConfig(), enroll)
+	auth, err := core.TrainAuthenticator(context.Background(), cheapAuthConfig(), enroll)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +206,7 @@ func TestPersistRoundTripByteIdentity(t *testing.T) {
 // embeddings — and requires LoadAuthenticator to reject each.
 func TestPersistRejectsCorruptSnapshots(t *testing.T) {
 	enroll, _ := synthRoster(4, 4, 0, 5)
-	auth, err := core.TrainAuthenticator(cheapAuthConfig(), enroll)
+	auth, err := core.TrainAuthenticator(context.Background(), cheapAuthConfig(), enroll)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +279,7 @@ func TestExtendContextAddsUserWithoutRetraining(t *testing.T) {
 		newProbes = append(newProbes, synthImage(rng, c, 0.3))
 	}
 
-	auth, err := core.TrainAuthenticator(cheapAuthConfig(), enroll)
+	auth, err := core.TrainAuthenticator(context.Background(), cheapAuthConfig(), enroll)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -347,7 +348,7 @@ func TestExtendContextAddsUserWithoutRetraining(t *testing.T) {
 	// Exhaustive-mode models cannot extend.
 	exCfg := cheapAuthConfig()
 	exCfg.Identify.Mode = core.IdentifyExhaustive
-	exAuth, err := core.TrainAuthenticator(exCfg, enroll)
+	exAuth, err := core.TrainAuthenticator(context.Background(), exCfg, enroll)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -86,17 +86,16 @@ type ImagingPlan struct {
 // NewImagingPlan solves the MVDR weights and segment windows for every
 // pixel of cfg's grid, steering the given beamformer. fs and samples
 // describe the beep windows the plan will render; planeDist is D_p and
-// emissionSec the beep emission time within each window.
-// NewImagingPlan is a documented non-Context compat wrapper
-// (allowlisted for the ctxdiscipline lint rule).
-func NewImagingPlan(cfg Config, bf *beamform.Beamformer, fs float64, samples int, planeDist, emissionSec float64) (*ImagingPlan, error) {
+// emissionSec the beep emission time within each window. Cancelling ctx
+// abandons the build between grid rows.
+func NewImagingPlan(ctx context.Context, cfg Config, bf *beamform.Beamformer, fs float64, samples int, planeDist, emissionSec float64) (*ImagingPlan, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	if bf == nil {
 		return nil, fmt.Errorf("core: nil beamformer")
 	}
-	return buildImagingPlan(context.Background(), cfg, bf.WeightsFor, fs, samples, planeDist, emissionSec)
+	return buildImagingPlan(ctx, cfg, bf.WeightsFor, fs, samples, planeDist, emissionSec)
 }
 
 // buildImagingPlan fans the grid rows over a worker pool, solving weights
@@ -338,27 +337,17 @@ func (p *ImagingPlan) normalize(chans [][]complex128, ai *AcousticImage, refRMS 
 	}
 }
 
-// ConstructAll images every beep of a capture at plane distance planeDist
+// constructAll images every beep of a capture at plane distance planeDist
 // (normally the ranging output D_p). emissionSec is the beep emission time
 // within each window (from DistanceEstimate.EmissionSec); pass 0 when the
 // capture windows start exactly at emission. noiseOnly may be nil.
 //
-// With Config.ImagingSubBands > 1 each returned image additionally carries
-// per-sub-band images (frequency-diverse imaging).
-//
-// ConstructAll is a documented non-Context compat wrapper (allowlisted
-// for the ctxdiscipline lint rule).
-func (im *Imager) ConstructAll(cap *Capture, planeDist, emissionSec float64, noiseOnly [][]float64) ([]*AcousticImage, error) {
-	return im.constructAllContext(context.Background(), cap, planeDist, emissionSec, noiseOnly, nil)
-}
-
-// constructAllContext runs the full-band pass (reusing pre, the already
-// preprocessed full-band capture, when the caller — typically
-// System.Process after ranging — provides it) and then the optional
-// sub-band passes, which always preprocess with their own filters.
-// Cancelling ctx abandons the construction between bands and between
-// (beep, row) render batches.
-func (im *Imager) constructAllContext(ctx context.Context, cap *Capture, planeDist, emissionSec float64, noiseOnly [][]float64, pre *preprocessed) ([]*AcousticImage, error) {
+// The full-band pass reuses pre, the already preprocessed full-band
+// capture, when the caller — ProcessRecordedContext after ranging —
+// provides it; the optional sub-band passes always preprocess with their
+// own filters. Cancelling ctx abandons the construction between bands and
+// between (beep, row) render batches.
+func (im *Imager) constructAll(ctx context.Context, cap *Capture, planeDist, emissionSec float64, noiseOnly [][]float64, pre *preprocessed) ([]*AcousticImage, error) {
 	if planeDist <= 0 {
 		return nil, fmt.Errorf("core: plane distance %g <= 0", planeDist)
 	}

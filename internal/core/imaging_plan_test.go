@@ -102,7 +102,7 @@ func renderUnplanned(t *testing.T, cfg Config, fs float64, bf *beamform.Beamform
 func TestImagingPlanMatchesUnplannedRender(t *testing.T) {
 	cfg, p, bf, capd := planTestSetup(t)
 	const planeDist, emissionSec = 0.7, 0.005
-	plan, err := NewImagingPlan(cfg, bf, capd.SampleRate, p.samples, planeDist, emissionSec)
+	plan, err := NewImagingPlan(context.Background(), cfg, bf, capd.SampleRate, p.samples, planeDist, emissionSec)
 	if err != nil {
 		t.Fatalf("plan: %v", err)
 	}
@@ -132,11 +132,11 @@ func TestConstructAllMatchesPlanRender(t *testing.T) {
 		t.Fatalf("imager: %v", err)
 	}
 	const planeDist, emissionSec = 0.7, 0.005
-	imgs, err := im.ConstructAll(capd, planeDist, emissionSec, nil)
+	imgs, err := im.constructAll(context.Background(), capd, planeDist, emissionSec, nil, nil)
 	if err != nil {
 		t.Fatalf("construct: %v", err)
 	}
-	plan, err := NewImagingPlan(cfg, bf, capd.SampleRate, p.samples, planeDist, emissionSec)
+	plan, err := NewImagingPlan(context.Background(), cfg, bf, capd.SampleRate, p.samples, planeDist, emissionSec)
 	if err != nil {
 		t.Fatalf("plan: %v", err)
 	}
@@ -158,7 +158,7 @@ func TestConstructAllMatchesPlanRender(t *testing.T) {
 // reuse is safe.
 func TestImagingPlanConcurrentReuse(t *testing.T) {
 	cfg, p, bf, capd := planTestSetup(t)
-	plan, err := NewImagingPlan(cfg, bf, capd.SampleRate, p.samples, 0.7, 0.005)
+	plan, err := NewImagingPlan(context.Background(), cfg, bf, capd.SampleRate, p.samples, 0.7, 0.005)
 	if err != nil {
 		t.Fatalf("plan: %v", err)
 	}
@@ -213,7 +213,7 @@ func TestImagingPlanConcurrentBuildSharedBeamformer(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			plan, err := NewImagingPlan(cfg, bf, capd.SampleRate, p.samples, 0.7, 0.005)
+			plan, err := NewImagingPlan(context.Background(), cfg, bf, capd.SampleRate, p.samples, 0.7, 0.005)
 			if err != nil {
 				errs <- err
 				return
@@ -298,7 +298,7 @@ func TestImagingPlanPartialSolverError(t *testing.T) {
 // TestImagingPlanRenderValidation checks channel-shape validation.
 func TestImagingPlanRenderValidation(t *testing.T) {
 	cfg, p, bf, capd := planTestSetup(t)
-	plan, err := NewImagingPlan(cfg, bf, capd.SampleRate, p.samples, 0.7, 0)
+	plan, err := NewImagingPlan(context.Background(), cfg, bf, capd.SampleRate, p.samples, 0.7, 0)
 	if err != nil {
 		t.Fatalf("plan: %v", err)
 	}

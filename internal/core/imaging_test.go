@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -78,9 +79,9 @@ func TestImageDiscriminability(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Estimate: %v", err)
 		}
-		imgs, err := imager.ConstructAll(cap, d.UserM, d.EmissionSec, nil)
+		imgs, err := imager.constructAll(context.Background(), cap, d.UserM, d.EmissionSec, nil, nil)
 		if err != nil {
-			t.Fatalf("ConstructAll: %v", err)
+			t.Fatalf("constructAll: %v", err)
 		}
 		return imgs
 	}

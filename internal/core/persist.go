@@ -11,11 +11,10 @@ import (
 	"echoimage/internal/svm"
 )
 
-// modelFormatVersion is the snapshot format this build writes. Version 2
-// added the identification embedding set + ANN index, the fitted kernel
-// width and the full AuthConfig per snapshot; version 1 snapshots (no
-// embedding space) still load, serving in exhaustive mode without
-// incremental-extension support.
+// modelFormatVersion is the only snapshot format this build reads and
+// writes. Version 2 added the identification embedding set + ANN index,
+// the fitted kernel width and the full AuthConfig per snapshot; version 1
+// snapshots (no embedding space) are rejected and must be retrained.
 const modelFormatVersion = 2
 
 // authenticatorState is the on-disk form of a trained Authenticator.
@@ -25,7 +24,7 @@ const modelFormatVersion = 2
 type authenticatorState struct {
 	Version  int                  `json:"version"`
 	Features features.Config      `json:"features"`
-	Config   *AuthConfig          `json:"config,omitempty"` // v2+
+	Config   *AuthConfig          `json:"config,omitempty"`
 	BinWidth float64              `json:"bin_width_m"`
 	Users    []int                `json:"users"`
 	Bins     map[string]*binState `json:"bins"`
@@ -37,9 +36,9 @@ type binState struct {
 	UserGate map[string]*svm.SVDDState `json:"user_gates,omitempty"`
 	Identify *svm.MultiClassState      `json:"identify,omitempty"`
 	Whiten   *whitenerState            `json:"whiten,omitempty"`
-	Gamma    float64                   `json:"gamma,omitempty"`  // v2+
-	Embeds   []byte                    `json:"embeds,omitempty"` // v2+: embed.Set binary form
-	Index    []byte                    `json:"index,omitempty"`  // v2+: index.Index binary form
+	Gamma    float64                   `json:"gamma,omitempty"`
+	Embeds   []byte                    `json:"embeds,omitempty"` // embed.Set binary form
+	Index    []byte                    `json:"index,omitempty"`  // index.Index binary form
 }
 
 type whitenerState struct {
@@ -106,32 +105,27 @@ func (a *Authenticator) Save(w io.Writer) error {
 	return nil
 }
 
-// LoadAuthenticator restores a model saved with Save. Version 1 snapshots
-// (pre-embedding) load into exhaustive identification mode.
+// LoadAuthenticator restores a model saved with Save. Snapshots of any
+// other format version are rejected.
 func LoadAuthenticator(r io.Reader) (*Authenticator, error) {
 	var state authenticatorState
 	if err := json.NewDecoder(r).Decode(&state); err != nil {
 		return nil, fmt.Errorf("core: decode model: %w", err)
 	}
-	if state.Version < 1 || state.Version > modelFormatVersion {
-		return nil, fmt.Errorf("core: model format version %d, want <= %d", state.Version, modelFormatVersion)
+	if state.Version != modelFormatVersion {
+		return nil, fmt.Errorf("core: model format version %d, want %d (retrain to upgrade)", state.Version, modelFormatVersion)
+	}
+	if state.Config == nil {
+		return nil, fmt.Errorf("core: model snapshot has no config")
 	}
 	ext, err := features.NewExtractor(state.Features)
 	if err != nil {
 		return nil, fmt.Errorf("core: rebuild extractor: %w", err)
 	}
-	var cfg AuthConfig
-	if state.Config != nil {
-		cfg = *state.Config
-	} else {
-		// v1: no embedding space was persisted; the model can only serve
-		// the exhaustive path.
-		cfg = AuthConfig{Features: state.Features, Identify: IdentifyConfig{Mode: IdentifyExhaustive}}
-	}
 	auth := &Authenticator{
 		extractor: ext,
 		featCfg:   state.Features,
-		cfg:       cfg,
+		cfg:       *state.Config,
 		bins:      make(map[int]*binModel, len(state.Bins)),
 		binWidth:  state.BinWidth,
 		users:     state.Users,

@@ -79,7 +79,8 @@ func TestProcessContextPreCancelled(t *testing.T) {
 }
 
 // TestProcessContextBackgroundUnchanged guards the non-cancelling path:
-// with a background context the pipeline behaves exactly like Process.
+// a live cancellable context with a recorder attached yields exactly the
+// result of a background run without one.
 func TestProcessContextBackgroundUnchanged(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-backed")
@@ -89,16 +90,22 @@ func TestProcessContextBackgroundUnchanged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := sys.Process(cap, noiseOnly)
+	want, err := sys.ProcessRecordedContext(context.Background(), cap, noiseOnly, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := sys.ProcessContext(context.Background(), cap, noiseOnly)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	rec := &cancelAfterStage{cancel: func() {}}
+	got, err := sys.ProcessRecordedContext(ctx, cap, noiseOnly, rec)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if len(rec.seen) != 3 {
+		t.Errorf("recorded stages %v, want preprocess, ranging, imaging", rec.seen)
 	}
 	if len(got.Images) != len(want.Images) {
-		t.Fatalf("%d images with context, %d without", len(got.Images), len(want.Images))
+		t.Fatalf("%d images with a live context, %d with background", len(got.Images), len(want.Images))
 	}
 	if got.Distance.UserM != want.Distance.UserM {
 		t.Errorf("ranging diverged: %v vs %v", got.Distance.UserM, want.Distance.UserM)

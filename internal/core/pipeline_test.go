@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -51,7 +52,7 @@ func TestMultiBandImaging(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sys.Process(cap, noiseOnly)
+	res, err := sys.ProcessRecordedContext(context.Background(), cap, noiseOnly, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +82,7 @@ func TestAugmentCaptureMovesEcho(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := sys.Process(cap, noiseOnly)
+	base, err := sys.ProcessRecordedContext(context.Background(), cap, noiseOnly, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +92,7 @@ func TestAugmentCaptureMovesEcho(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	augRes, err := sys.Process(aug, noiseOnly)
+	augRes, err := sys.ProcessRecordedContext(context.Background(), aug, noiseOnly, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,19 +127,19 @@ func TestAuthenticateMajority(t *testing.T) {
 	sys := smallSystem(t)
 	spec := quickSpec(1, 1, 10, 11)
 	spec.Placements = 3
-	imgs, err := dataset.CollectImages(sys, spec, true)
+	imgs, err := dataset.CollectImages(context.Background(), sys, spec, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	auth, err := core.TrainAuthenticator(core.DefaultAuthConfig(), map[int][]*core.AcousticImage{1: imgs})
+	auth, err := core.TrainAuthenticator(context.Background(), core.DefaultAuthConfig(), map[int][]*core.AcousticImage{1: imgs})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := auth.AuthenticateMajority(nil); err == nil {
+	if _, err := auth.AuthenticateMajorityRecorded(nil, nil); err == nil {
 		t.Error("empty image set accepted")
 	}
 	// Majority over the enrollment data itself must accept as user 1.
-	d, err := auth.AuthenticateMajority(imgs[:5])
+	d, err := auth.AuthenticateMajorityRecorded(imgs[:5], nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +155,7 @@ func TestReplayPropLooksNothingLikeABody(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bodyRes, err := sys.Process(cap, noiseOnly)
+	bodyRes, err := sys.ProcessRecordedContext(context.Background(), cap, noiseOnly, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +187,7 @@ func TestReplayPropLooksNothingLikeABody(t *testing.T) {
 		t.Fatal(err)
 	}
 	propCap := &core.Capture{Beeps: recs, SampleRate: scene.Config.SampleRate, Reference: ref}
-	propRes, err := sys.ProcessAtDistance(propCap, bodyRes.Images[0].PlaneDistM, bodyRes.Distance.EmissionSec, no)
+	propRes, err := sys.ProcessAtDistance(context.Background(), propCap, bodyRes.Images[0].PlaneDistM, bodyRes.Distance.EmissionSec, no)
 	if err != nil {
 		t.Fatal(err)
 	}

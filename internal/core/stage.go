@@ -21,8 +21,8 @@ const (
 // spans, or a CLI printing timings — implement these two lines.
 //
 // Implementations must be safe for the concurrency of their call sites;
-// a recorder handed to System.ProcessRecorded is only invoked from that
-// call's goroutine.
+// a recorder handed to System.ProcessRecordedContext is only invoked from
+// that call's goroutine.
 type StageRecorder interface {
 	RecordStage(stage string, d time.Duration)
 }

@@ -39,9 +39,6 @@ func (s *System) Array() *array.Array { return s.arr }
 // Ranger returns the distance estimation component.
 func (s *System) Ranger() *DistanceEstimator { return s.ranger }
 
-// Imager returns the image construction component.
-func (s *System) Imager() *Imager { return s.imager }
-
 // ProcessResult is the sensing front end's output for one capture.
 type ProcessResult struct {
 	Distance *DistanceEstimate
@@ -49,38 +46,21 @@ type ProcessResult struct {
 	Images []*AcousticImage
 }
 
-// Process runs ranging followed by imaging on a capture. noiseOnly may be
-// nil (noise statistics fall back to the window tails). The imaging plane
-// distance is the (optionally quantized) ranging estimate. Ranging and the
-// full-band imaging pass share one preprocessed capture — the bandpass,
-// analytic conversion and noise covariance are computed once, not per
-// stage.
+// ProcessRecordedContext runs ranging followed by imaging on a capture.
+// noiseOnly may be nil (noise statistics fall back to the window tails).
+// The imaging plane distance is the (optionally quantized) ranging
+// estimate. Ranging and the full-band imaging pass share one preprocessed
+// capture — the bandpass, analytic conversion and noise covariance are
+// computed once, not per stage.
 //
-// Process is a documented non-Context compat wrapper (allowlisted for
-// the ctxdiscipline lint rule); cancellable callers use ProcessContext.
-func (s *System) Process(cap *Capture, noiseOnly [][]float64) (*ProcessResult, error) {
-	return s.ProcessRecordedContext(context.Background(), cap, noiseOnly, nil)
-}
-
-// ProcessRecorded is Process with stage instrumentation: a non-nil
-// recorder receives the preprocess, ranging and imaging durations as
-// they complete. A nil recorder adds no work to the hot path.
-// Like Process, it is an allowlisted non-Context compat wrapper.
-func (s *System) ProcessRecorded(cap *Capture, noiseOnly [][]float64, rec StageRecorder) (*ProcessResult, error) {
-	return s.ProcessRecordedContext(context.Background(), cap, noiseOnly, rec)
-}
-
-// ProcessContext is Process with cancellation (see ProcessRecordedContext).
-func (s *System) ProcessContext(ctx context.Context, cap *Capture, noiseOnly [][]float64) (*ProcessResult, error) {
-	return s.ProcessRecordedContext(ctx, cap, noiseOnly, nil)
-}
-
-// ProcessRecordedContext is ProcessRecorded with cancellation: the context
-// is checked between pipeline stages and, inside imaging, between the
-// (beep, row) render batches — mirroring TrainAuthenticatorContext — so a
-// serving layer can stop a request whose client is gone or whose deadline
-// passed instead of burning the remaining imaging CPU. A cancelled run
-// returns the context's error; partial results are discarded.
+// A non-nil recorder receives the preprocess, ranging and imaging
+// durations as they complete; a nil recorder adds no work to the hot
+// path. The context is checked between pipeline stages and, inside
+// imaging, between the (beep, row) render batches — mirroring
+// TrainAuthenticator — so a serving layer can stop a request whose client
+// is gone or whose deadline passed instead of burning the remaining
+// imaging CPU. A cancelled run returns the context's error; partial
+// results are discarded.
 func (s *System) ProcessRecordedContext(ctx context.Context, cap *Capture, noiseOnly [][]float64, rec StageRecorder) (*ProcessResult, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -120,7 +100,7 @@ func (s *System) ProcessRecordedContext(ctx context.Context, cap *Capture, noise
 			plane = q
 		}
 	}
-	imgs, err := s.imager.constructAllContext(ctx, cap, plane, dist.EmissionSec, noiseOnly, pre)
+	imgs, err := s.imager.constructAll(ctx, cap, plane, dist.EmissionSec, noiseOnly, pre)
 	if err != nil {
 		if cerr := ctx.Err(); cerr != nil {
 			return nil, cerr
@@ -135,9 +115,15 @@ func (s *System) ProcessRecordedContext(ctx context.Context, cap *Capture, noise
 
 // ProcessAtDistance skips ranging and images directly at a known plane
 // distance, with emission assumed at the window start offset emissionSec.
-func (s *System) ProcessAtDistance(cap *Capture, planeDist, emissionSec float64, noiseOnly [][]float64) (*ProcessResult, error) {
-	imgs, err := s.imager.ConstructAll(cap, planeDist, emissionSec, noiseOnly)
+// With Config.ImagingSubBands > 1 each returned image additionally
+// carries per-sub-band images (frequency-diverse imaging). Cancelling ctx
+// abandons the construction as in ProcessRecordedContext.
+func (s *System) ProcessAtDistance(ctx context.Context, cap *Capture, planeDist, emissionSec float64, noiseOnly [][]float64) (*ProcessResult, error) {
+	imgs, err := s.imager.constructAll(ctx, cap, planeDist, emissionSec, noiseOnly, nil)
 	if err != nil {
+		if cerr := ctx.Err(); cerr != nil {
+			return nil, cerr
+		}
 		return nil, fmt.Errorf("core: image construction: %w", err)
 	}
 	return &ProcessResult{Images: imgs}, nil

@@ -296,7 +296,7 @@ func TestAuthenticateDuringRetrain(t *testing.T) {
 				return nil, ctx.Err()
 			}
 		}
-		return core.TrainAuthenticatorContext(ctx, cfg, enr)
+		return core.TrainAuthenticator(ctx, cfg, enr)
 	}
 	// QueueWait is generous: on a small machine the parallel authenticates
 	// below legitimately queue for one processing slot, and this test is

@@ -5,6 +5,7 @@
 package dataset
 
 import (
+	"context"
 	"fmt"
 
 	"echoimage/internal/array"
@@ -159,7 +160,7 @@ func CollectPlacements(spec SessionSpec) ([]*core.Capture, [][]float64, error) {
 // as its own capture — one ranging estimate per placement, exactly as a
 // deployed system would meet each authentication attempt. When ranging is
 // disabled the imaging plane sits at the nominal distance.
-func CollectImages(sys *core.System, spec SessionSpec, useRanging bool) ([]*core.AcousticImage, error) {
+func CollectImages(ctx context.Context, sys *core.System, spec SessionSpec, useRanging bool) ([]*core.AcousticImage, error) {
 	caps, noiseOnly, err := CollectPlacements(spec)
 	if err != nil {
 		return nil, err
@@ -168,10 +169,10 @@ func CollectImages(sys *core.System, spec SessionSpec, useRanging bool) ([]*core
 	for pl, cap := range caps {
 		var res *core.ProcessResult
 		if useRanging {
-			res, err = sys.Process(cap, noiseOnly)
+			res, err = sys.ProcessRecordedContext(ctx, cap, noiseOnly, nil)
 		} else {
 			preRoll := sim.DefaultConfig().PreRollSec
-			res, err = sys.ProcessAtDistance(cap, spec.DistanceM, preRoll, noiseOnly)
+			res, err = sys.ProcessAtDistance(ctx, cap, spec.DistanceM, preRoll, noiseOnly)
 		}
 		if err != nil {
 			return nil, fmt.Errorf("dataset: process placement %d (user %d): %w", pl, spec.Profile.ID, err)
@@ -183,7 +184,7 @@ func CollectImages(sys *core.System, spec SessionSpec, useRanging bool) ([]*core
 				if off == 0 || base+off <= 0 {
 					continue
 				}
-				extra, err := sys.ProcessAtDistance(cap, base+off, res.Distance.EmissionSec, noiseOnly)
+				extra, err := sys.ProcessAtDistance(ctx, cap, base+off, res.Distance.EmissionSec, noiseOnly)
 				if err != nil {
 					return nil, fmt.Errorf("dataset: offset plane %+.3f placement %d (user %d): %w", off, pl, spec.Profile.ID, err)
 				}

@@ -1,6 +1,7 @@
 package dataset
 
 import (
+	"context"
 	"testing"
 
 	"echoimage/internal/array"
@@ -128,7 +129,7 @@ func TestCollectImagesRangingAndFixed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	imgs, err := CollectImages(sys, validSpec(), true)
+	imgs, err := CollectImages(context.Background(), sys, validSpec(), true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +139,7 @@ func TestCollectImagesRangingAndFixed(t *testing.T) {
 	if imgs[0].PlaneDistM <= 0.3 || imgs[0].PlaneDistM > 1.2 {
 		t.Errorf("ranged plane %g implausible for a 0.7 m user", imgs[0].PlaneDistM)
 	}
-	fixed, err := CollectImages(sys, validSpec(), false)
+	fixed, err := CollectImages(context.Background(), sys, validSpec(), false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +158,7 @@ func TestCollectImagesPlaneOffsets(t *testing.T) {
 	}
 	s := validSpec()
 	s.PlaneOffsets = []float64{-0.05, 0.05}
-	imgs, err := CollectImages(sys, s, true)
+	imgs, err := CollectImages(context.Background(), sys, s, true)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math"
@@ -126,7 +127,7 @@ type AuthAblationRow struct {
 // design variants: delay-and-sum imaging (covariance shrunk fully to
 // identity), WCCN whitening on, sub-band imaging on, scale-preserving
 // features, and the paper's largest-peak ranging.
-func AuthAblation(s Scale) ([]AuthAblationRow, error) {
+func AuthAblation(ctx context.Context, s Scale) ([]AuthAblationRow, error) {
 	type variant struct {
 		name string
 		pipe func(*core.Config)
@@ -169,7 +170,7 @@ func AuthAblation(s Scale) ([]AuthAblationRow, error) {
 		if v.auth != nil {
 			v.auth(&authCfg)
 		}
-		res, err := figure11WithConfig(s, authCfg, pipeCfg)
+		res, err := figure11WithConfig(ctx, s, authCfg, pipeCfg)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: ablation %q: %w", v.name, err)
 		}

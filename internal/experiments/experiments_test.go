@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 )
@@ -64,7 +65,7 @@ func TestFigure8Shape(t *testing.T) {
 		t.Skip("simulation-backed")
 	}
 	s := Quick()
-	r, err := Figure8(s)
+	r, err := Figure8(context.Background(), s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +85,7 @@ func TestFigure11Smoke(t *testing.T) {
 	s := Quick()
 	s.Registered = 3
 	s.Spoofers = 2
-	r, err := Figure11(s)
+	r, err := Figure11(context.Background(), s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +110,7 @@ func TestReplayAttackSmoke(t *testing.T) {
 		t.Skip("simulation-backed")
 	}
 	s := Quick()
-	r, err := ReplayAttack(s)
+	r, err := ReplayAttack(context.Background(), s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +131,7 @@ func TestGateROCSmoke(t *testing.T) {
 	s := Quick()
 	s.Registered = 3
 	s.Spoofers = 2
-	r, err := GateROC(s)
+	r, err := GateROC(context.Background(), s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +149,7 @@ func TestSessionStabilitySmoke(t *testing.T) {
 	}
 	s := Quick()
 	s.EnvUsers = 3
-	r, err := SessionStability(s)
+	r, err := SessionStability(context.Background(), s)
 	if err != nil {
 		t.Fatal(err)
 	}

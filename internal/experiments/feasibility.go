@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math/rand"
@@ -164,7 +165,7 @@ type Figure8Result struct {
 
 // Figure8 images users A and B at 0.7 m (2 beeps each, per the paper) and
 // compares the images.
-func Figure8(s Scale) (*Figure8Result, error) {
+func Figure8(ctx context.Context, s Scale) (*Figure8Result, error) {
 	sys, err := s.NewSystem()
 	if err != nil {
 		return nil, err
@@ -178,7 +179,7 @@ func Figure8(s Scale) (*Figure8Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		res, err := sys.Process(cap, noiseOnly)
+		res, err := sys.ProcessRecordedContext(ctx, cap, noiseOnly, nil)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: figure 8 user %d: %w", p.ID, err)
 		}

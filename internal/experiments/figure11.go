@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 
@@ -23,11 +24,11 @@ type Figure11Result struct {
 }
 
 // Figure11 runs the paper's overall evaluation (§VI-B).
-func Figure11(s Scale) (*Figure11Result, error) {
-	return figure11WithConfig(s, core.DefaultAuthConfig(), s.PipelineConfig())
+func Figure11(ctx context.Context, s Scale) (*Figure11Result, error) {
+	return figure11WithConfig(ctx, s, core.DefaultAuthConfig(), s.PipelineConfig())
 }
 
-func figure11WithConfig(s Scale, authCfg core.AuthConfig, pipeCfg core.Config) (*Figure11Result, error) {
+func figure11WithConfig(ctx context.Context, s Scale, authCfg core.AuthConfig, pipeCfg core.Config) (*Figure11Result, error) {
 	sys, err := core.NewSystem(pipeCfg, arrayGeometry())
 	if err != nil {
 		return nil, err
@@ -38,20 +39,20 @@ func figure11WithConfig(s Scale, authCfg core.AuthConfig, pipeCfg core.Config) (
 
 	enrollment := make(map[int][]*core.AcousticImage, len(registered))
 	for _, p := range registered {
-		imgs, err := enrollUser(sys, p, cond, distance, s)
+		imgs, err := enrollUser(ctx, sys, p, cond, distance, s)
 		if err != nil {
 			return nil, err
 		}
 		enrollment[p.ID] = imgs
 	}
-	auth, err := core.TrainAuthenticator(authCfg, enrollment)
+	auth, err := core.TrainAuthenticator(ctx, authCfg, enrollment)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: figure 11 training: %w", err)
 	}
 
 	tests := make(map[int][]*core.AcousticImage, len(registered))
 	for _, p := range registered {
-		imgs, err := testUser(sys, p, cond, distance, s)
+		imgs, err := testUser(ctx, sys, p, cond, distance, s)
 		if err != nil {
 			return nil, err
 		}
@@ -59,7 +60,7 @@ func figure11WithConfig(s Scale, authCfg core.AuthConfig, pipeCfg core.Config) (
 	}
 	spoofs := make(map[int][]*core.AcousticImage, len(spoofers))
 	for _, p := range spoofers {
-		imgs, err := spooferImages(sys, p, cond, distance, s)
+		imgs, err := spooferImages(ctx, sys, p, cond, distance, s)
 		if err != nil {
 			return nil, err
 		}

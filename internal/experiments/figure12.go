@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 
@@ -29,7 +30,7 @@ type Figure12Result struct {
 // Figure12 runs the §VI-C study: EnvUsers subjects at 0.7 m, trained in
 // each quiet venue, tested under each noise condition in the same venue
 // (~50 dB played noise, matching the paper).
-func Figure12(s Scale) (*Figure12Result, error) {
+func Figure12(ctx context.Context, s Scale) (*Figure12Result, error) {
 	const distance = 0.7
 	const noiseLevelDB = 50
 	res := &Figure12Result{}
@@ -43,13 +44,13 @@ func Figure12(s Scale) (*Figure12Result, error) {
 
 		enrollment := make(map[int][]*core.AcousticImage, len(registered))
 		for _, p := range registered {
-			imgs, err := enrollUser(sys, p, cond, distance, s)
+			imgs, err := enrollUser(ctx, sys, p, cond, distance, s)
 			if err != nil {
 				return nil, err
 			}
 			enrollment[p.ID] = imgs
 		}
-		auth, err := core.TrainAuthenticator(core.DefaultAuthConfig(), enrollment)
+		auth, err := core.TrainAuthenticator(ctx, core.DefaultAuthConfig(), enrollment)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: figure 12 training (%s): %w", env, err)
 		}
@@ -59,7 +60,7 @@ func Figure12(s Scale) (*Figure12Result, error) {
 			conf := metrics.NewConfusion()
 			total := 0
 			for _, p := range registered {
-				imgs, err := testUser(sys, p, testCond, distance, s)
+				imgs, err := testUser(ctx, sys, p, testCond, distance, s)
 				if err != nil {
 					return nil, err
 				}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 
@@ -25,7 +26,7 @@ type Figure13Result struct {
 // Figure13 sweeps the user-array distance (0.6–1.5 m in the paper) in the
 // quiet laboratory, enrolling and testing EnvUsers subjects at each
 // distance.
-func Figure13(s Scale) (*Figure13Result, error) {
+func Figure13(ctx context.Context, s Scale) (*Figure13Result, error) {
 	res := &Figure13Result{}
 	cond := QuietLab()
 	for _, distance := range s.Distances {
@@ -38,7 +39,7 @@ func Figure13(s Scale) (*Figure13Result, error) {
 		enrollment := make(map[int][]*core.AcousticImage, len(registered))
 		enrollFailed := false
 		for _, p := range registered {
-			imgs, err := enrollUser(sys, p, cond, distance, s)
+			imgs, err := enrollUser(ctx, sys, p, cond, distance, s)
 			if err != nil {
 				// Beyond the sensing range the echo is too weak to range
 				// on; that distance scores zero, which is the phenomenon
@@ -52,7 +53,7 @@ func Figure13(s Scale) (*Figure13Result, error) {
 			res.Rows = append(res.Rows, Figure13Row{DistanceM: distance})
 			continue
 		}
-		auth, err := core.TrainAuthenticator(core.DefaultAuthConfig(), enrollment)
+		auth, err := core.TrainAuthenticator(ctx, core.DefaultAuthConfig(), enrollment)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: figure 13 training at %.1f m: %w", distance, err)
 		}
@@ -60,7 +61,7 @@ func Figure13(s Scale) (*Figure13Result, error) {
 		conf := metrics.NewConfusion()
 		total := 0
 		for _, p := range registered {
-			imgs, err := testUser(sys, p, cond, distance, s)
+			imgs, err := testUser(ctx, sys, p, cond, distance, s)
 			if err != nil {
 				// Count un-rangeable test captures as misses.
 				continue

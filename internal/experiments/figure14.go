@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 
@@ -59,7 +60,7 @@ const maxPoolPerUser = 400
 
 // Figure14 trains at 0.7 m with a limited number of beeps and tests at
 // distances from 0.6 to 1.5 m under each augmentation mode.
-func Figure14(s Scale) (*Figure14Result, error) {
+func Figure14(ctx context.Context, s Scale) (*Figure14Result, error) {
 	const trainDistance = 0.7
 	cond := QuietLab()
 	registered, _ := rosterSplit(s.EnvUsers, 0)
@@ -104,7 +105,7 @@ func Figure14(s Scale) (*Figure14Result, error) {
 		}
 		up := &userPool{}
 		for _, cap := range caps {
-			procRes, err := sys.Process(cap, noiseOnly)
+			procRes, err := sys.ProcessRecordedContext(ctx, cap, noiseOnly, nil)
 			if err != nil {
 				return nil, fmt.Errorf("experiments: figure 14 process (user %d): %w", p.ID, err)
 			}
@@ -132,7 +133,7 @@ func Figure14(s Scale) (*Figure14Result, error) {
 				if err != nil {
 					return nil, fmt.Errorf("experiments: figure 14 capture augment: %w", err)
 				}
-				augRes, err := sys.Process(aug, noiseOnly)
+				augRes, err := sys.ProcessRecordedContext(ctx, aug, noiseOnly, nil)
 				if err != nil {
 					continue // too weak to range: skip this synthetic distance
 				}
@@ -162,7 +163,7 @@ func Figure14(s Scale) (*Figure14Result, error) {
 				Placements: 1,
 				Seed:       seedTestS3 + int64(d*1000),
 			}
-			imgs, err := dataset.CollectImages(sys, spec, true)
+			imgs, err := dataset.CollectImages(ctx, sys, spec, true)
 			if err != nil {
 				continue // out of range: absent samples count as misses below
 			}
@@ -201,7 +202,7 @@ func Figure14(s Scale) (*Figure14Result, error) {
 				}
 				enrollment[p.ID] = subsamplePool(pool, maxPoolPerUser)
 			}
-			auth, err := core.TrainAuthenticator(core.DefaultAuthConfig(), enrollment)
+			auth, err := core.TrainAuthenticator(ctx, core.DefaultAuthConfig(), enrollment)
 			if err != nil {
 				return nil, fmt.Errorf("experiments: figure 14 training (size %d, %s): %w", size, mode, err)
 			}

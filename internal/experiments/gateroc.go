@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 
@@ -22,7 +23,7 @@ type GateROCResult struct {
 
 // GateROC runs the Figure 11 protocol and scores every sample with the
 // gate's margin instead of thresholding it.
-func GateROC(s Scale) (*GateROCResult, error) {
+func GateROC(ctx context.Context, s Scale) (*GateROCResult, error) {
 	sys, err := s.NewSystem()
 	if err != nil {
 		return nil, err
@@ -33,20 +34,20 @@ func GateROC(s Scale) (*GateROCResult, error) {
 
 	enrollment := make(map[int][]*core.AcousticImage, len(registered))
 	for _, p := range registered {
-		imgs, err := enrollUser(sys, p, cond, distance, s)
+		imgs, err := enrollUser(ctx, sys, p, cond, distance, s)
 		if err != nil {
 			return nil, err
 		}
 		enrollment[p.ID] = imgs
 	}
-	auth, err := core.TrainAuthenticator(core.DefaultAuthConfig(), enrollment)
+	auth, err := core.TrainAuthenticator(ctx, core.DefaultAuthConfig(), enrollment)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: gate ROC training: %w", err)
 	}
 
 	var genuine, impostor []float64
 	for _, p := range registered {
-		imgs, err := testUser(sys, p, cond, distance, s)
+		imgs, err := testUser(ctx, sys, p, cond, distance, s)
 		if err != nil {
 			return nil, err
 		}
@@ -55,7 +56,7 @@ func GateROC(s Scale) (*GateROCResult, error) {
 		}
 	}
 	for _, p := range spoofers {
-		imgs, err := spooferImages(sys, p, cond, distance, s)
+		imgs, err := spooferImages(ctx, sys, p, cond, distance, s)
 		if err != nil {
 			return nil, err
 		}

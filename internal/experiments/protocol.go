@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"echoimage/internal/array"
@@ -37,7 +38,7 @@ const (
 
 // enrollUser renders one subject's enrollment session (Session 1) and
 // returns its per-beep images.
-func enrollUser(sys *core.System, p body.Profile, cond Condition, distance float64, s Scale) ([]*core.AcousticImage, error) {
+func enrollUser(ctx context.Context, sys *core.System, p body.Profile, cond Condition, distance float64, s Scale) ([]*core.AcousticImage, error) {
 	spec := dataset.SessionSpec{
 		Profile:    p,
 		Env:        cond.Env,
@@ -48,7 +49,7 @@ func enrollUser(sys *core.System, p body.Profile, cond Condition, distance float
 		Placements: s.TrainPlacements,
 		Seed:       seedEnroll,
 	}
-	imgs, err := dataset.CollectImages(sys, spec, true)
+	imgs, err := dataset.CollectImages(ctx, sys, spec, true)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: enroll user %d: %w", p.ID, err)
 	}
@@ -57,7 +58,7 @@ func enrollUser(sys *core.System, p body.Profile, cond Condition, distance float
 
 // testUser renders a subject's test data: leftover Session 1 chirps plus
 // Session 3 chirps (the paper's protocol), under the given condition.
-func testUser(sys *core.System, p body.Profile, cond Condition, distance float64, s Scale) ([]*core.AcousticImage, error) {
+func testUser(ctx context.Context, sys *core.System, p body.Profile, cond Condition, distance float64, s Scale) ([]*core.AcousticImage, error) {
 	var out []*core.AcousticImage
 	if s.TestBeepsS1 > 0 {
 		spec := dataset.SessionSpec{
@@ -71,7 +72,7 @@ func testUser(sys *core.System, p body.Profile, cond Condition, distance float64
 			Placements:   maxInt(1, s.TrainPlacements/2),
 			Seed:         seedTestS1,
 		}
-		imgs, err := dataset.CollectImages(sys, spec, true)
+		imgs, err := dataset.CollectImages(ctx, sys, spec, true)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: test user %d session 1: %w", p.ID, err)
 		}
@@ -89,7 +90,7 @@ func testUser(sys *core.System, p body.Profile, cond Condition, distance float64
 			Placements:   1,
 			Seed:         seedTestS3,
 		}
-		imgs, err := dataset.CollectImages(sys, spec, true)
+		imgs, err := dataset.CollectImages(ctx, sys, spec, true)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: test user %d session 3: %w", p.ID, err)
 		}
@@ -99,7 +100,7 @@ func testUser(sys *core.System, p body.Profile, cond Condition, distance float64
 }
 
 // spooferImages renders a non-registered subject's attack attempt.
-func spooferImages(sys *core.System, p body.Profile, cond Condition, distance float64, s Scale) ([]*core.AcousticImage, error) {
+func spooferImages(ctx context.Context, sys *core.System, p body.Profile, cond Condition, distance float64, s Scale) ([]*core.AcousticImage, error) {
 	spec := dataset.SessionSpec{
 		Profile:      p,
 		Env:          cond.Env,
@@ -111,7 +112,7 @@ func spooferImages(sys *core.System, p body.Profile, cond Condition, distance fl
 		Placements:   1,
 		Seed:         seedSpoof,
 	}
-	imgs, err := dataset.CollectImages(sys, spec, true)
+	imgs, err := dataset.CollectImages(ctx, sys, spec, true)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: spoofer %d: %w", p.ID, err)
 	}

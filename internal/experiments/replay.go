@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math/rand"
@@ -29,7 +30,7 @@ type ReplayAttackResult struct {
 // ReplayAttack enrolls Registered users in the quiet lab, then presents a
 // loudspeaker prop at the enrollment spot (several placements and heights,
 // as an attacker would try).
-func ReplayAttack(s Scale) (*ReplayAttackResult, error) {
+func ReplayAttack(ctx context.Context, s Scale) (*ReplayAttackResult, error) {
 	sys, err := s.NewSystem()
 	if err != nil {
 		return nil, err
@@ -40,13 +41,13 @@ func ReplayAttack(s Scale) (*ReplayAttackResult, error) {
 
 	enrollment := make(map[int][]*core.AcousticImage, len(registered))
 	for _, p := range registered {
-		imgs, err := enrollUser(sys, p, cond, distance, s)
+		imgs, err := enrollUser(ctx, sys, p, cond, distance, s)
 		if err != nil {
 			return nil, err
 		}
 		enrollment[p.ID] = imgs
 	}
-	auth, err := core.TrainAuthenticator(core.DefaultAuthConfig(), enrollment)
+	auth, err := core.TrainAuthenticator(ctx, core.DefaultAuthConfig(), enrollment)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: replay training: %w", err)
 	}
@@ -54,7 +55,7 @@ func ReplayAttack(s Scale) (*ReplayAttackResult, error) {
 	res := &ReplayAttackResult{}
 	accepted := 0
 	for _, p := range registered {
-		imgs, err := testUser(sys, p, cond, distance, s)
+		imgs, err := testUser(ctx, sys, p, cond, distance, s)
 		if err != nil {
 			return nil, err
 		}
@@ -102,7 +103,7 @@ func ReplayAttack(s Scale) (*ReplayAttackResult, error) {
 			return nil, err
 		}
 		cap := &core.Capture{Beeps: recs, SampleRate: scene.Config.SampleRate, Reference: reference}
-		procRes, err := sys.Process(cap, noiseOnly)
+		procRes, err := sys.ProcessRecordedContext(ctx, cap, noiseOnly, nil)
 		if err != nil {
 			// Nothing rangeable where a body should be: the attempt fails
 			// outright, which counts as rejection.

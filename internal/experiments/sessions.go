@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 
@@ -29,7 +30,7 @@ type SessionStabilityResult struct {
 
 // SessionStability runs the consistency study on EnvUsers subjects in the
 // quiet lab at 0.7 m.
-func SessionStability(s Scale) (*SessionStabilityResult, error) {
+func SessionStability(ctx context.Context, s Scale) (*SessionStabilityResult, error) {
 	sys, err := s.NewSystem()
 	if err != nil {
 		return nil, err
@@ -40,13 +41,13 @@ func SessionStability(s Scale) (*SessionStabilityResult, error) {
 
 	enrollment := make(map[int][]*core.AcousticImage, len(registered))
 	for _, p := range registered {
-		imgs, err := enrollUser(sys, p, cond, distance, s)
+		imgs, err := enrollUser(ctx, sys, p, cond, distance, s)
 		if err != nil {
 			return nil, err
 		}
 		enrollment[p.ID] = imgs
 	}
-	auth, err := core.TrainAuthenticator(core.DefaultAuthConfig(), enrollment)
+	auth, err := core.TrainAuthenticator(ctx, core.DefaultAuthConfig(), enrollment)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: session stability training: %w", err)
 	}
@@ -66,7 +67,7 @@ func SessionStability(s Scale) (*SessionStabilityResult, error) {
 				Placements: 1,
 				Seed:       seedTestS1 + int64(session)*977,
 			}
-			imgs, err := dataset.CollectImages(sys, spec, true)
+			imgs, err := dataset.CollectImages(ctx, sys, spec, true)
 			if err != nil {
 				return nil, err
 			}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 
@@ -30,7 +31,7 @@ type SingleUserRow struct {
 
 // SingleUser evaluates min(EnvUsers, 4) independent single-user devices;
 // each is attacked by 4 other subjects.
-func SingleUser(s Scale) (*SingleUserResult, error) {
+func SingleUser(ctx context.Context, s Scale) (*SingleUserResult, error) {
 	sys, err := s.NewSystem()
 	if err != nil {
 		return nil, err
@@ -42,18 +43,18 @@ func SingleUser(s Scale) (*SingleUserResult, error) {
 	res := &SingleUserResult{}
 	var legitOK, legitN, attackAccepted, attackN int
 	for _, owner := range owners {
-		imgs, err := enrollUser(sys, owner, cond, distance, s)
+		imgs, err := enrollUser(ctx, sys, owner, cond, distance, s)
 		if err != nil {
 			return nil, err
 		}
-		auth, err := core.TrainAuthenticator(core.DefaultAuthConfig(),
+		auth, err := core.TrainAuthenticator(ctx, core.DefaultAuthConfig(),
 			map[int][]*core.AcousticImage{owner.ID: imgs})
 		if err != nil {
 			return nil, fmt.Errorf("experiments: single-user training (user %d): %w", owner.ID, err)
 		}
 
 		row := SingleUserRow{UserID: owner.ID}
-		legit, err := testUser(sys, owner, cond, distance, s)
+		legit, err := testUser(ctx, sys, owner, cond, distance, s)
 		if err != nil {
 			return nil, err
 		}
@@ -64,7 +65,7 @@ func SingleUser(s Scale) (*SingleUserResult, error) {
 			}
 		}
 		for _, attacker := range attackers {
-			imgs, err := spooferImages(sys, attacker, cond, distance, s)
+			imgs, err := spooferImages(ctx, sys, attacker, cond, distance, s)
 			if err != nil {
 				return nil, err
 			}

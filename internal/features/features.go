@@ -148,9 +148,9 @@ func NewExtractor(cfg Config) (*Extractor, error) {
 
 // getBuf returns a pooled scratch slice of length n. Contents are
 // arbitrary; every user overwrites each element before reading it (or
-// zeroes explicitly).
+// zeroes explicitly). An undersized pooled buffer is left to the GC, so
+// the pool converges to full-size planes instead of churning grows.
 func (e *Extractor) getBuf(n int) []float64 {
-	//echoimage:lint-ignore poolcheck undersized buffers are discarded on purpose: the pool converges to full-size planes instead of churning grows, and the GC reclaims the small ones
 	bp := e.bufs.Get().(*[]float64)
 	b := *bp
 	if cap(b) < n {

@@ -173,16 +173,11 @@ type Options struct {
 	// RestoreState reloads them at startup. Created if absent.
 	StateDir string
 	// Train overrides the training function; nil means
-	// core.TrainAuthenticatorContext.
+	// core.TrainAuthenticator. A custom trainer also disables incremental
+	// extension: its models are not necessarily extensions of each other.
 	Train TrainFunc
 	// Logf receives worker diagnostics; nil silences them.
 	Logf func(string, ...any)
-	// DisableExtend forces every retrain to be a full train even when the
-	// enrollment delta (new users only) and the live model would allow
-	// incremental extension. Extension is also disabled automatically when
-	// Train is overridden: a custom trainer's models are not necessarily
-	// extensions of each other.
-	DisableExtend bool
 	// Telemetry receives the registry's runtime metrics; nil records
 	// into a private unexposed registry so update paths stay branch-free.
 	Telemetry *telemetry.Registry
@@ -192,9 +187,9 @@ type Options struct {
 // the worker and release the registry.
 func New(cfg core.AuthConfig, opts Options) *Registry {
 	train := opts.Train
-	extend := !opts.DisableExtend && train == nil
+	extend := train == nil
 	if train == nil {
-		train = core.TrainAuthenticatorContext
+		train = core.TrainAuthenticator
 	}
 	logf := opts.Logf
 	if logf == nil {
