@@ -7,15 +7,9 @@
 //	bench-report -bench 'BenchmarkFigure8|BenchmarkImagingPlan' -o BENCH_1.json -label post-plan
 //	bench-report -append -o BENCH_1.json -label retest
 //	bench-report -prev BENCH_5.json -gate -o BENCH_6.json
-//	bench-report -input /tmp/cluster.json -prev BENCH_8.json -prev-run cluster-4shard -gate
 //
 // With -append the existing file is loaded and the new run is added to its
 // run list; otherwise the file is overwritten with a single-run report.
-//
-// With -input no benchmarks are run at all: the last run of the given
-// report (for example one recorded by echoimage-loadgen) is diffed and
-// gated against -prev directly. Since a recorded run cannot be re-run,
-// wall-clock regressions gate without the confirmation pass.
 //
 // With -prev the new run is diffed against a run of the given report —
 // the last one, or the one named by -prev-run:
@@ -45,8 +39,7 @@ import (
 	"echoimage/internal/benchfmt"
 )
 
-// The report types live in internal/benchfmt, shared with
-// echoimage-loadgen so load experiments gate through the same diff.
+// The report types live in internal/benchfmt.
 type (
 	Report    = benchfmt.Report
 	Run       = benchfmt.Run
@@ -68,7 +61,6 @@ func run() error {
 	out := flag.String("o", "BENCH_1.json", "output JSON file")
 	label := flag.String("label", "", "label recorded for this run (default: current date)")
 	appendRun := flag.Bool("append", false, "append to an existing report instead of overwriting")
-	input := flag.String("input", "", "gate a recorded report's last run instead of running benchmarks (e.g. an echoimage-loadgen output)")
 	prev := flag.String("prev", "", "previous BENCH_*.json to diff the new run against")
 	prevRun := flag.String("prev-run", "", "label of the -prev run to diff against (default: its last run)")
 	gate := flag.Bool("gate", false, "exit non-zero when -prev shows a >10% regression")
@@ -79,58 +71,41 @@ func run() error {
 		name = time.Now().UTC().Format("2006-01-02")
 	}
 
-	var benches []Benchmark
-	if *input != "" {
-		rep, err := benchfmt.Read(*input)
-		if err != nil {
-			return err
-		}
-		run, ok := rep.Run("")
-		if !ok {
-			return fmt.Errorf("%s has no runs", *input)
-		}
-		benches = run.Benchmarks
-		fmt.Printf("gating recorded run %q from %s (%d benchmarks)\n", run.Label, *input, len(benches))
-	} else {
-		raw, err := runBenchmarks(*pkg, *bench, *benchtime, *count)
-		if err != nil {
-			return err
-		}
-		var cpu string
-		benches, cpu = parseBenchOutput(raw)
-		if len(benches) == 0 {
-			return fmt.Errorf("no benchmark result lines matched %q", *bench)
-		}
-
-		rep := Report{}
-		if *appendRun {
-			if loaded, err := benchfmt.Read(*out); err == nil {
-				rep = *loaded
-			} else if !os.IsNotExist(err) {
-				return err
-			}
-		}
-		rep.Runs = append(rep.Runs, Run{
-			Label:      name,
-			Date:       time.Now().UTC().Format(time.RFC3339),
-			Go:         runtime.Version(),
-			CPU:        cpu,
-			Benchmarks: benches,
-		})
-		if err := rep.Write(*out); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s: run %q with %d benchmarks\n", *out, name, len(benches))
+	raw, err := runBenchmarks(*pkg, *bench, *benchtime, *count)
+	if err != nil {
+		return err
 	}
+	benches, cpu := parseBenchOutput(raw)
+	if len(benches) == 0 {
+		return fmt.Errorf("no benchmark result lines matched %q", *bench)
+	}
+
+	rep := Report{}
+	if *appendRun {
+		if loaded, err := benchfmt.Read(*out); err == nil {
+			rep = *loaded
+		} else if !os.IsNotExist(err) {
+			return err
+		}
+	}
+	rep.Runs = append(rep.Runs, Run{
+		Label:      name,
+		Date:       time.Now().UTC().Format(time.RFC3339),
+		Go:         runtime.Version(),
+		CPU:        cpu,
+		Benchmarks: benches,
+	})
+	if err := rep.Write(*out); err != nil {
+		return err
+	}
+	fmt.Printf("wrote %s: run %q with %d benchmarks\n", *out, name, len(benches))
 
 	if *prev != "" {
 		allocRegressed, nsRegressed, baseline, err := diffAgainst(*prev, *prevRun, benches)
 		if err != nil {
 			return err
 		}
-		// A recorded run cannot be re-run for confirmation; its
-		// regressions gate directly.
-		if *gate && len(nsRegressed) > 0 && *input == "" {
+		if *gate && len(nsRegressed) > 0 {
 			first := make(map[string]float64, len(benches))
 			for _, b := range benches {
 				first[b.Name] = b.NsPerOp

@@ -1,9 +1,9 @@
 // Command echoimage-client talks to the echoimaged daemon: it simulates a
 // roster subject's capture (the hardware stand-in) and submits it for
-// enrollment or authentication. It speaks protocol v2 — every request
-// carries a version and a request ID, and the daemon's echo is verified —
-// and applies a deadline to each round trip so a hung daemon cannot wedge
-// the client forever. Requests refused with a retryable error code
+// enrollment or authentication. Every request carries the protocol
+// version and a request ID, and the daemon's echo is verified
+// (proto.Conn.RoundTrip); a deadline on each round trip keeps a hung
+// daemon from wedging the client forever. Requests refused with a retryable error code
 // (unavailable, overloaded) are retried on a fresh connection with
 // exponential backoff and jitter, so a briefly saturated or restarting
 // daemon is ridden out instead of surfaced as a failure.
@@ -19,7 +19,6 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"net"
@@ -38,31 +37,8 @@ func main() {
 	}
 }
 
-// daemonError is an in-band error response from the daemon, keeping the
-// stable protocol code so retry policy can act on it.
-type daemonError struct {
-	code    string
-	message string
-}
-
-func (e *daemonError) Error() string {
-	if e.code != "" {
-		return fmt.Sprintf("daemon error [%s]: %s", e.code, e.message)
-	}
-	return "daemon error: " + e.message
-}
-
-// retryable reports whether the error is worth retrying on a fresh
-// connection: a daemon refusal with a retryable code (unavailable,
-// overloaded) — transient by contract — qualifies; everything else
-// (bad request, auth failure, transport corruption) does not.
-func retryable(err error) bool {
-	var de *daemonError
-	return errors.As(err, &de) && proto.RetryableCode(de.code)
-}
-
 // client wraps the framed connection with per-round-trip deadlines and
-// v2 request correlation.
+// request correlation.
 type client struct {
 	conn    net.Conn
 	pc      *proto.Conn
@@ -76,8 +52,8 @@ type client struct {
 }
 
 // call performs one request/response round trip under the deadline and
-// validates the response: daemon errors surface as errors, the request ID
-// echo is checked, and the body is decoded into `into`.
+// validates the response: daemon errors surface as *proto.Error, and the
+// body is decoded into `into`.
 func (c *client) call(msgType proto.MsgType, body any, want proto.MsgType, into any) error {
 	c.seq++
 	reqID := fmt.Sprintf("cli-%d-%d", os.Getpid(), c.seq)
@@ -92,25 +68,15 @@ func (c *client) call(msgType proto.MsgType, body any, want proto.MsgType, into 
 		}
 	}
 	start := time.Now()
-	if err := c.pc.SendEnvelope(env); err != nil {
-		return err
-	}
-	resp, err := c.pc.Receive()
+	resp, err := c.pc.RoundTrip(env)
 	if c.verbose {
 		fmt.Fprintf(os.Stderr, "%s: round trip %v\n", msgType, time.Since(start).Round(time.Millisecond))
 	}
 	if err != nil {
 		return fmt.Errorf("awaiting %s: %w", want, err)
 	}
-	if resp.RequestID != reqID {
-		return fmt.Errorf("response correlates to %q, want %q", resp.RequestID, reqID)
-	}
-	if resp.Type == proto.TypeError {
-		var e proto.ErrorResponse
-		if err := proto.DecodeBody(resp, &e); err != nil {
-			return err
-		}
-		return &daemonError{code: e.Code, message: e.Message}
+	if err := proto.ReplyError(resp); err != nil {
+		return err
 	}
 	if resp.Type != want {
 		return fmt.Errorf("unexpected response %q (want %q)", resp.Type, want)
@@ -148,8 +114,11 @@ func run() error {
 	// Each attempt gets a fresh connection: after a refusal the old one
 	// may be mid-shutdown, and redialing also reaches a restarted daemon.
 	// routeUser (0 for model-wide commands) becomes the envelope routing
-	// hint for every attempt.
+	// hint for every attempt. Only a daemon refusal with a retryable code
+	// (unavailable, overloaded) is retried; a transport failure carries
+	// no code and is not.
 	policy := retry.Policy{Attempts: *retries, Base: *retryBase, Cap: 5 * time.Second}
+	retryable := func(err error) bool { return proto.RetryableCode(proto.ErrorCode(err)) }
 	withClient := func(routeUser int, op func(c *client) error) error {
 		dialTO := *timeout
 		if dialTO <= 0 {
@@ -258,10 +227,8 @@ func run() error {
 			}); err != nil {
 				return err
 			}
-			trained := "trained=false"
-			if resp.Trained {
-				trained = "trained=true"
-			} else if resp.RetrainQueued {
+			trained := "no retrain"
+			if resp.RetrainQueued {
 				trained = "retrain queued"
 			}
 			fmt.Printf("enrolled user %d: +%d images at %.2f m (%s, %d users, %d images total)\n",

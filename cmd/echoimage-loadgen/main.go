@@ -9,34 +9,31 @@
 // request), each request carrying the user routing hint the router
 // shards by.
 //
-// Results — p50/p99/p999 latency, completed throughput, shed rate and
-// per-code error counts — are written in the BENCH_*.json schema shared
-// with cmd/bench-report, so a load run gates in CI through the same
-// diff tool as the microbenchmarks:
+// It prints p50/p99/p999 latency, completed throughput, shed rate and
+// per-code error counts:
 //
-//	echoimage-loadgen -addr 127.0.0.1:7464 -enroll -users 4 -rate 50 -duration 10s -o /tmp/cluster.json -label cluster-4shard
-//	bench-report -input /tmp/cluster.json -prev BENCH_8.json -prev-run cluster-4shard -gate
+//	echoimage-loadgen -addr 127.0.0.1:7464 -enroll -users 4 -rate 50 -duration 10s
 //
-// With -max-p99 and -max-nonretryable the command itself asserts
+// With -max-p99, -max-nonretryable and -verify the command itself asserts
 // service-level outcomes and exits non-zero on violation, which is what
-// `make cluster-smoke` relies on.
+// `make cluster-smoke` relies on. Speed claims are measured with the
+// .perfbench harness, not with this command.
 package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"math/rand"
 	"net"
 	"os"
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"echoimage"
-	"echoimage/internal/benchfmt"
 	"echoimage/internal/proto"
 )
 
@@ -59,9 +56,6 @@ func run() error {
 	seed := flag.Int64("seed", 1, "arrival-process and capture-noise seed")
 	enroll := flag.Bool("enroll", false, "enroll every user and retrain synchronously before generating load")
 	enrollImages := flag.Int("enroll-images", 2, "captures enrolled per user with -enroll")
-	out := flag.String("o", "", "write results as a BENCH-schema JSON report to this file")
-	label := flag.String("label", "loadgen", "run label recorded in the report")
-	appendRun := flag.Bool("append", false, "append the run to an existing report instead of overwriting")
 	maxP99 := flag.Duration("max-p99", 0, "exit non-zero when auth p99 exceeds this (0 = no assertion)")
 	maxNonRetryable := flag.Int("max-nonretryable", -1, "exit non-zero when non-retryable errors exceed this (-1 = no assertion)")
 	verify := flag.Bool("verify", false, "after the load phase, authenticate every user once and exit non-zero unless each is accepted as themselves (zero-lost-user assertion; -duration 0 makes this a pure verify run)")
@@ -142,16 +136,16 @@ func run() error {
 			elapsed := time.Since(t0).Nanoseconds()
 			mu.Lock()
 			defer mu.Unlock()
+			var perr *proto.Error
 			switch {
-			case err != nil:
-				transport++
-			case resp.Type == proto.TypeError:
-				var e proto.ErrorResponse
-				code := "undecodable"
-				if derr := proto.DecodeBody(resp, &e); derr == nil && e.Code != "" {
-					code = e.Code
+			case errors.As(err, &perr):
+				code := perr.Code
+				if code == "" {
+					code = "undecodable"
 				}
 				codes[code]++
+			case err != nil:
+				transport++
 			default:
 				latencies = append(latencies, elapsed)
 				var a proto.AuthResponse
@@ -194,48 +188,6 @@ func run() error {
 		fmt.Printf("  code %-14s %d\n", code, n)
 	}
 
-	if *out != "" {
-		benches := []benchfmt.Benchmark{
-			{Name: "LoadgenAuthP50", Iterations: completed, NsPerOp: float64(percentile(latencies, 0.50))},
-			{Name: "LoadgenAuthP99", Iterations: completed, NsPerOp: float64(percentile(latencies, 0.99))},
-			{Name: "LoadgenAuthP999", Iterations: completed, NsPerOp: float64(percentile(latencies, 0.999))},
-		}
-		if throughput > 0 {
-			// NsPerOp is wall-clock per completed op, so "lower is
-			// better" holds for the shared regression gate.
-			benches = append(benches, benchfmt.Benchmark{
-				Name: "LoadgenAuthThroughput", Iterations: completed, NsPerOp: 1e9 / throughput,
-			})
-		}
-		benches = append(benches,
-			benchfmt.Benchmark{Name: "LoadgenShed", Iterations: shed},
-			benchfmt.Benchmark{Name: "LoadgenNonRetryableErrors", Iterations: nonRetryable},
-			benchfmt.Benchmark{Name: "LoadgenTransportErrors", Iterations: transport},
-			benchfmt.Benchmark{Name: "LoadgenLocalOverflow", Iterations: overflow},
-		)
-		for code, n := range codes {
-			benches = append(benches, benchfmt.Benchmark{Name: "LoadgenErrors_" + code, Iterations: n})
-		}
-		rep := benchfmt.Report{}
-		if *appendRun {
-			if loaded, err := benchfmt.Read(*out); err == nil {
-				rep = *loaded
-			} else if !os.IsNotExist(err) {
-				return err
-			}
-		}
-		rep.Runs = append(rep.Runs, benchfmt.Run{
-			Label:      *label,
-			Date:       time.Now().UTC().Format(time.RFC3339),
-			Go:         runtime.Version(),
-			Benchmarks: benches,
-		})
-		if err := rep.Write(*out); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s: run %q\n", *out, *label)
-	}
-
 	if *maxNonRetryable >= 0 && nonRetryable > int64(*maxNonRetryable) {
 		return fmt.Errorf("%d non-retryable errors (max %d)", nonRetryable, *maxNonRetryable)
 	}
@@ -275,10 +227,6 @@ func verifyAll(pool *connPool, users int, authBodies [][]byte, retries int) erro
 				fmt.Sprintf("lg-verify-%d-%d", u, attempt), authBodies[u])
 			if err != nil {
 				last = err.Error()
-				continue
-			}
-			if resp.Type == proto.TypeError {
-				last = errText(resp)
 				continue
 			}
 			var a proto.AuthResponse
@@ -334,12 +282,8 @@ func enrollAll(pool *connPool, users, images int, distance float64, beeps int, s
 				return err
 			}
 			seq++
-			resp, err := pool.roundTrip(proto.TypeEnrollRequest, u, fmt.Sprintf("lg-enroll-%d", seq), body)
-			if err != nil {
+			if _, err := pool.roundTrip(proto.TypeEnrollRequest, u, fmt.Sprintf("lg-enroll-%d", seq), body); err != nil {
 				return fmt.Errorf("enroll user %d: %w", u, err)
-			}
-			if resp.Type == proto.TypeError {
-				return fmt.Errorf("enroll user %d refused: %s", u, errText(resp))
 			}
 		}
 	}
@@ -349,26 +293,11 @@ func enrollAll(pool *connPool, users, images int, distance float64, beeps int, s
 		return err
 	}
 	for u := 1; u <= users; u++ {
-		resp, err := pool.roundTrip(proto.TypeRetrainRequest, u, fmt.Sprintf("lg-retrain-%d", u), body)
-		if err != nil {
+		if _, err := pool.roundTrip(proto.TypeRetrainRequest, u, fmt.Sprintf("lg-retrain-%d", u), body); err != nil {
 			return fmt.Errorf("retrain (user %d's shard): %w", u, err)
-		}
-		if resp.Type == proto.TypeError {
-			return fmt.Errorf("retrain (user %d's shard) refused: %s", u, errText(resp))
 		}
 	}
 	return nil
-}
-
-func errText(env *proto.Envelope) string {
-	var e proto.ErrorResponse
-	if err := proto.DecodeBody(env, &e); err != nil {
-		return "undecodable error body"
-	}
-	if e.Code != "" {
-		return e.Code + ": " + e.Message
-	}
-	return e.Message
 }
 
 // connPool is a free list of framed connections to the target; each
@@ -435,7 +364,8 @@ func (p *connPool) closeAll() {
 }
 
 // roundTrip performs one framed request/response exchange with the
-// routing hint set, verifying the request-ID echo.
+// routing hint set. A transport failure discards the connection; an error
+// reply keeps it and is returned as a *proto.Error.
 func (p *connPool) roundTrip(msgType proto.MsgType, user int, reqID string, body []byte) (*proto.Envelope, error) {
 	c, err := p.get()
 	if err != nil {
@@ -445,21 +375,13 @@ func (p *connPool) roundTrip(msgType proto.MsgType, user int, reqID string, body
 	if p.timeout > 0 {
 		c.conn.SetDeadline(time.Now().Add(p.timeout))
 	}
-	if err := c.pc.SendEnvelope(env); err != nil {
-		p.discard(c)
-		return nil, err
-	}
-	resp, err := c.pc.Receive()
+	resp, err := c.pc.RoundTrip(env)
 	if err != nil {
 		p.discard(c)
 		return nil, err
 	}
-	if resp.RequestID != reqID {
-		p.discard(c)
-		return nil, fmt.Errorf("response correlates to %q, want %q", resp.RequestID, reqID)
-	}
 	p.put(c)
-	return resp, nil
+	return resp, proto.ReplyError(resp)
 }
 
 // percentile returns the q-th percentile of sorted nanosecond samples

@@ -51,7 +51,6 @@ func run() error {
 	writeTimeout := flag.Duration("write-timeout", 30*time.Second, "per-response write deadline (0 = none)")
 	requestTimeout := flag.Duration("request-timeout", 0, "cancel a single request's pipeline work after this long (0 = no cap)")
 	queueWait := flag.Duration("queue-wait", daemon.DefaultQueueWait, "how long a capture may wait for a processing slot before being shed with code overloaded (negative = shed immediately)")
-	captureHold := flag.Duration("capture-hold", 0, "hold each capture's processing slot this much longer, modeling on-device acquisition time (0 = off; load experiments only)")
 	shutdownGrace := flag.Duration("shutdown-grace", daemon.DefaultShutdownGrace, "on SIGTERM, wait this long for in-flight connections to drain before force-closing them")
 	adminAddr := flag.String("admin-addr", "", "serve /metrics, /varz, /healthz and /debug/pprof on this address (empty = disabled)")
 	flag.Parse()
@@ -80,7 +79,6 @@ func run() error {
 		WriteTimeout:   *writeTimeout,
 		RequestTimeout: *requestTimeout,
 		QueueWait:      *queueWait,
-		CaptureHold:    *captureHold,
 		ShutdownGrace:  *shutdownGrace,
 		Telemetry:      telemetry.NewRegistry(),
 	})

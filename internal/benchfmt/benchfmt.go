@@ -1,10 +1,6 @@
-// Package benchfmt defines the BENCH_*.json report schema shared by
-// cmd/bench-report (which records `go test -bench` runs and gates
-// regressions) and cmd/echoimage-loadgen (which records cluster load
-// experiments in the same shape so the same gate applies). One schema
-// means one diff tool: any run in any report can be compared against any
-// other, whether it came from a microbenchmark or an open-loop load
-// test.
+// Package benchfmt defines the BENCH_*.json report schema that
+// cmd/bench-report writes when it records `go test -bench` runs and reads
+// when it gates a new run against an earlier one.
 package benchfmt
 
 import (
@@ -24,7 +20,8 @@ type Report struct {
 	Runs   []Run  `json:"runs"`
 }
 
-// Run is one invocation of the benchmark suite or one load experiment.
+// Run is one invocation of the benchmark suite (or, in BENCH_8.json, one
+// load experiment).
 type Run struct {
 	Label      string      `json:"label"`
 	Date       string      `json:"date"`
@@ -33,9 +30,9 @@ type Run struct {
 	Benchmarks []Benchmark `json:"benchmarks"`
 }
 
-// Benchmark is one measured figure: a parsed `go test -bench` result
-// line, or a synthesized load-test metric (percentile latencies carry
-// the percentile in NsPerOp; counters carry the count in Iterations).
+// Benchmark is one measured figure, normally a parsed `go test -bench`
+// result line. BENCH_8.json's load-experiment runs use the same shape
+// for percentile latencies (NsPerOp) and counters (Iterations).
 type Benchmark struct {
 	Name        string  `json:"name"`
 	Iterations  int64   `json:"iterations"`

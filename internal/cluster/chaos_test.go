@@ -179,6 +179,9 @@ func TestChaosDrainKeepsInFlight(t *testing.T) {
 	}
 
 	// A fresh capture for the same user must now skip the draining owner.
+	// The drain's own handoff scan also reaches the owner; let it finish
+	// so only routed captures are counted.
+	waitHandoff(t, r, ownerID)
 	before := len(shards[owner].seenUsers())
 	if resp := c.call(proto.TypeAuthRequest, user, proto.AuthRequest{}); resp.Type != proto.TypeAuthResponse {
 		t.Fatalf("post-drain capture answered %s/%s", resp.Type, errCode(t, resp))

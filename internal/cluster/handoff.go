@@ -11,7 +11,6 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"sort"
@@ -317,11 +316,8 @@ func (r *Router) handoffCall(ctx context.Context, shard *Shard, env *proto.Envel
 		if rerr != nil {
 			return rerr
 		}
-		if out.Type == proto.TypeError {
-			code := decodeErrorCode(out)
-			var e proto.ErrorResponse
-			_ = json.Unmarshal(out.Body, &e)
-			return coded(code, fmt.Errorf("shard %s: %s: %s", shard.ID, code, e.Message))
+		if perr := proto.ReplyError(out); perr != nil {
+			return coded(proto.ErrorCode(perr), fmt.Errorf("shard %s: %w", shard.ID, perr))
 		}
 		resp = out
 		return nil

@@ -391,30 +391,28 @@ func (r *Router) ServeConn(ctx context.Context, conn net.Conn) {
 	}
 }
 
-// reply shapes an error envelope for a request, mirroring the daemon:
-// v2 requests get version + request ID echoed, v1 requests a bare
-// envelope.
+// reply shapes a response envelope for a request, mirroring the daemon:
+// the router's version and the request's ID echoed.
 func reply(req *proto.Envelope, msgType proto.MsgType) *proto.Envelope {
-	resp := &proto.Envelope{Type: msgType}
-	if req.Version >= 2 {
-		resp.Version = proto.Version
-		resp.RequestID = req.RequestID
-	}
-	return resp
+	return &proto.Envelope{Version: proto.Version, RequestID: req.RequestID, Type: msgType}
 }
 
 // route dispatches one request: user-keyed types go to the owning shard
 // with failover, model-wide types without a user hint fan out to every
 // shard and aggregate. The response envelope from a shard is forwarded
-// verbatim (request_id preserved by the shard's own echo).
+// verbatim (request_id preserved by the shard's own echo). The router
+// reads only the envelope; it never decodes a request body.
 func (r *Router) route(ctx context.Context, env *proto.Envelope) (*proto.Envelope, error) {
+	if err := proto.CheckVersion(env); err != nil {
+		return nil, coded(proto.CodeBadRequest, err)
+	}
 	switch env.Type {
 	case proto.TypeEnrollRequest, proto.TypeAuthRequest:
-		user, err := r.routeUser(env)
-		if err != nil {
-			return nil, err
+		if env.User == 0 {
+			return nil, coded(proto.CodeBadRequest,
+				fmt.Errorf("%s request carries no user routing hint (set envelope field \"user\")", env.Type))
 		}
-		return r.forwardUser(ctx, env, user, true)
+		return r.forwardUser(ctx, env, env.User, true)
 	case proto.TypeRetrainRequest, proto.TypeStatusRequest, proto.TypeModelInfoRequest:
 		if env.User != 0 {
 			return r.forwardUser(ctx, env, env.User, false)
@@ -423,26 +421,6 @@ func (r *Router) route(ctx context.Context, env *proto.Envelope) (*proto.Envelop
 	default:
 		return nil, coded(proto.CodeUnknownType, fmt.Errorf("unknown message type %q", env.Type))
 	}
-}
-
-// routeUser extracts the routing key: the envelope hint when present,
-// else the user_id from an enroll body. Authentication bodies carry no
-// user (identification is open-set), so an unhinted authenticate cannot
-// be routed and is refused — the CLI and load generator always hint.
-func (r *Router) routeUser(env *proto.Envelope) (int, error) {
-	if env.User != 0 {
-		return env.User, nil
-	}
-	if env.Type == proto.TypeEnrollRequest {
-		var body struct {
-			UserID int `json:"user_id"`
-		}
-		if err := json.Unmarshal(env.Body, &body); err == nil && body.UserID > 0 {
-			return body.UserID, nil
-		}
-	}
-	return 0, coded(proto.CodeBadRequest,
-		fmt.Errorf("%s request carries no user routing hint (set envelope field \"user\")", env.Type))
 }
 
 // forwardUser sends the request to the user's owning shard, failing over
@@ -496,8 +474,8 @@ func (r *Router) forwardUser(ctx context.Context, env *proto.Envelope, user int,
 				}
 				return rerr
 			}
-			if fallback && out.Type == proto.TypeError {
-				if code := decodeErrorCode(out); code == proto.CodeNotTrained {
+			if fallback {
+				if code := proto.ErrorCode(proto.ReplyError(out)); code == proto.CodeNotTrained {
 					r.met.shardErrorCounter(id).Inc()
 					r.met.failovers.Inc()
 					attempt++
@@ -563,41 +541,27 @@ func (r *Router) roundTripTimeout(ctx context.Context, shard *Shard, env *proto.
 	return resp, err
 }
 
-// exchange runs one send/receive on a checked-out upstream: returned to
-// the pool on clean completion, retired on any transport error.
+// exchange runs one round trip on a checked-out upstream: returned to the
+// pool on clean completion, retired on any transport error — including a
+// reply that does not echo the request ID, after which the connection's
+// framing cannot be trusted.
 func (r *Router) exchange(p *pool, u *upstream, shard *Shard, env *proto.Envelope, timeout time.Duration) (*proto.Envelope, error) {
 	start := time.Now()
 	if timeout > 0 {
 		u.conn.SetDeadline(time.Now().Add(timeout))
 	}
 	r.met.shardRequestCounter(shard.ID).Inc()
-	if err := u.pc.SendEnvelope(env); err != nil {
-		u.close()
-		return nil, fmt.Errorf("cluster: send to shard %s: %w", shard.ID, err)
-	}
-	resp, err := u.pc.Receive()
+	resp, err := u.pc.RoundTrip(env)
 	r.met.shardLatencyHist(shard.ID).ObserveDuration(time.Since(start))
 	if err != nil {
 		u.close()
-		return nil, fmt.Errorf("cluster: receive from shard %s: %w", shard.ID, err)
+		return nil, fmt.Errorf("cluster: round trip to shard %s: %w", shard.ID, err)
 	}
 	p.put(u)
-	if resp.Type == proto.TypeError {
-		if code := decodeErrorCode(resp); proto.RetryableCode(code) {
-			return nil, coded(code, fmt.Errorf("shard %s refused: %s", shard.ID, code))
-		}
+	if code := proto.ErrorCode(proto.ReplyError(resp)); proto.RetryableCode(code) {
+		return nil, coded(code, fmt.Errorf("shard %s refused: %s", shard.ID, code))
 	}
 	return resp, nil
-}
-
-// decodeErrorCode extracts the stable code from an error response
-// envelope ("" when undecodable).
-func decodeErrorCode(env *proto.Envelope) string {
-	var e proto.ErrorResponse
-	if err := json.Unmarshal(env.Body, &e); err != nil {
-		return ""
-	}
-	return e.Code
 }
 
 // fanout forwards a model-wide request to every non-down shard and
@@ -658,8 +622,8 @@ func (r *Router) fanout(ctx context.Context, env *proto.Envelope) (*proto.Envelo
 			// fatal for writes, a degraded-marking for reads.
 			failed++
 			if firstErr == nil {
-				firstErr = coded(decodeErrorCode(res.resp),
-					fmt.Errorf("shard %s: %s", res.shard, decodeErrorCode(res.resp)))
+				code := proto.ErrorCode(proto.ReplyError(res.resp))
+				firstErr = coded(code, fmt.Errorf("shard %s: %s", res.shard, code))
 			}
 		default:
 			ok = append(ok, res.resp)

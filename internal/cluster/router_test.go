@@ -49,36 +49,96 @@ func TestRoutingAffinity(t *testing.T) {
 	}
 }
 
-// TestEnrollRoutesByBodyUserID covers the unhinted-enroll fallback: the
-// router decodes user_id out of the body when the envelope hint is
-// missing.
-func TestEnrollRoutesByBodyUserID(t *testing.T) {
-	shards := []*fakeShard{newFakeShard(t, nil), newFakeShard(t, nil)}
-	r, addr := startRouter(t, Options{Retry: fastRetry}, shards...)
-	ring := r.ring.Load()
-
-	const user = 7
-	c := dialRouter(t, addr)
-	resp := c.call(proto.TypeEnrollRequest, 0, proto.EnrollRequest{UserID: user})
-	if resp.Type != proto.TypeEnrollResponse {
-		t.Fatalf("enroll answered %s (code %s)", resp.Type, errCode(t, resp))
-	}
-	owner := ring.Owner(user)
-	for i, f := range shards {
-		if got := len(f.seenUsers()); got > 0 && "s"+itoa(i) != owner {
-			t.Errorf("enroll for user %d landed on s%d, owner is %s", user, i, owner)
-		}
+// TestAuthWithoutHintRefused: the router routes enroll and authenticate
+// by the envelope hint alone and never decodes a capture body, so either
+// request without a hint is unroutable and refused bad_request before
+// any shard sees it.
+func TestAuthWithoutHintRefused(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		msgType proto.MsgType
+		body    any
+	}{
+		{"authenticate", proto.TypeAuthRequest, proto.AuthRequest{}},
+		{"enroll", proto.TypeEnrollRequest, proto.EnrollRequest{UserID: 7}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f := newFakeShard(t, nil)
+			_, addr := startRouter(t, Options{Retry: fastRetry}, f)
+			c := dialRouter(t, addr)
+			resp := c.call(tc.msgType, 0, tc.body)
+			if code := errCode(t, resp); code != proto.CodeBadRequest {
+				t.Errorf("unhinted %s answered %s/%s, want bad_request", tc.name, resp.Type, code)
+			}
+			if seen := f.seenUsers(); len(seen) != 0 {
+				t.Errorf("unhinted %s reached the shard: %v", tc.name, seen)
+			}
+		})
 	}
 }
 
-// TestAuthWithoutHintRefused: authentication bodies carry no user, so an
-// unhinted authenticate is unroutable and must be refused bad_request.
-func TestAuthWithoutHintRefused(t *testing.T) {
-	_, addr := startRouter(t, Options{Retry: fastRetry}, newFakeShard(t, nil))
+// TestVersionMismatchRefused: the router answers an envelope of any
+// version but proto.Version in band with bad_request, echoing the request
+// ID, and forwards nothing.
+func TestVersionMismatchRefused(t *testing.T) {
+	f := newFakeShard(t, nil)
+	_, addr := startRouter(t, Options{Retry: fastRetry}, f)
 	c := dialRouter(t, addr)
-	resp := c.call(proto.TypeAuthRequest, 0, proto.AuthRequest{})
-	if code := errCode(t, resp); code != proto.CodeBadRequest {
-		t.Errorf("unhinted auth answered %s/%s, want bad_request", resp.Type, code)
+	for _, v := range []int{0, 3} {
+		for _, msgType := range []proto.MsgType{proto.TypeAuthRequest, proto.TypeStatusRequest} {
+			env, err := proto.NewEnvelope(msgType, "v-"+itoa(v)+"-"+string(msgType), proto.AuthRequest{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			env.Version, env.User = v, 3
+			resp := c.send(env)
+			if code := errCode(t, resp); code != proto.CodeBadRequest {
+				t.Errorf("version %d %s answered %s/%s, want bad_request", v, msgType, resp.Type, code)
+			}
+		}
+	}
+	if seen := f.seenUsers(); len(seen) != 0 {
+		t.Errorf("mismatched versions reached the shard: %v", seen)
+	}
+	// The connection survives the refusals.
+	if resp := c.call(proto.TypeAuthRequest, 3, proto.AuthRequest{}); resp.Type != proto.TypeAuthResponse {
+		t.Errorf("current-version auth answered %s (code %s)", resp.Type, errCode(t, resp))
+	}
+}
+
+// TestMismatchedShardEchoFailsOver: a shard reply correlated to another
+// request is a transport failure — the upstream connection is retired and
+// the request fails over to the next ring candidate — never a result
+// handed to the client.
+func TestMismatchedShardEchoFailsOver(t *testing.T) {
+	var crossed atomic.Int64
+	crosstalk := func(env *proto.Envelope) *proto.Envelope {
+		crossed.Add(1)
+		resp := respEnv(proto.TypeAuthResponse, proto.AuthResponse{Accepted: true, UserID: 99})
+		resp.RequestID = env.RequestID + "-stale"
+		return resp
+	}
+	a := newFakeShard(t, crosstalk)
+	b := newFakeShard(t, crosstalk)
+	r, addr := startRouter(t, Options{Retry: fastRetry}, a, b)
+	const user = 4
+	fallback := a
+	if r.ring.Load().Owner(user) == "s0" {
+		fallback = b
+	}
+	fallback.setHandle(fallback.okHandler)
+
+	c := dialRouter(t, addr)
+	resp := c.call(proto.TypeAuthRequest, user, proto.AuthRequest{})
+	var auth proto.AuthResponse
+	if err := proto.DecodeBody(resp, &auth); err != nil || resp.Type != proto.TypeAuthResponse || auth.UserID != user {
+		t.Fatalf("answered %s %+v (%v), want the fallback's result for user %d", resp.Type, auth, err, user)
+	}
+	if crossed.Load() == 0 {
+		t.Error("owner never answered (test raced the script)")
+	}
+	if v := r.met.failovers.Value(); v == 0 {
+		t.Error("failover not counted")
 	}
 }
 

@@ -156,7 +156,9 @@ func (f *fakeShard) serve() {
 					return
 				}
 				resp.Version = proto.Version
-				resp.RequestID = env.RequestID
+				if resp.RequestID == "" {
+					resp.RequestID = env.RequestID
+				}
 				if err := pc.SendEnvelope(resp); err != nil {
 					return
 				}
@@ -186,7 +188,8 @@ func (f *fakeShard) okHandler(env *proto.Envelope) *proto.Envelope {
 }
 
 // respEnv builds a response envelope with the given body; the fake's
-// serve loop fills in version and request ID.
+// serve loop fills in the version and, unless the handler set one, the
+// request ID.
 func respEnv(msgType proto.MsgType, body any) *proto.Envelope {
 	raw, err := json.Marshal(body)
 	if err != nil {
@@ -228,15 +231,19 @@ func (c *testClient) call(msgType proto.MsgType, user int, body any) *proto.Enve
 		c.t.Fatal(err)
 	}
 	env.User = user
-	if err := c.pc.SendEnvelope(env); err != nil {
-		c.t.Fatalf("send: %v", err)
-	}
-	resp, err := c.pc.Receive()
+	return c.send(env)
+}
+
+// send runs one prepared envelope through RoundTrip, which asserts the
+// request ID echo.
+func (c *testClient) send(env *proto.Envelope) *proto.Envelope {
+	c.t.Helper()
+	resp, err := c.pc.RoundTrip(env)
 	if err != nil {
-		c.t.Fatalf("receive: %v", err)
+		c.t.Fatalf("round trip: %v", err)
 	}
-	if resp.RequestID != reqID {
-		c.t.Fatalf("response correlates to %q, want %q", resp.RequestID, reqID)
+	if resp.Version != proto.Version {
+		c.t.Fatalf("response version %d, want %d", resp.Version, proto.Version)
 	}
 	return resp
 }
@@ -248,11 +255,11 @@ func errCode(t *testing.T, env *proto.Envelope) string {
 	if env.Type != proto.TypeError {
 		return ""
 	}
-	var e proto.ErrorResponse
-	if err := proto.DecodeBody(env, &e); err != nil {
-		t.Fatalf("decode error body: %v", err)
+	code := proto.ErrorCode(proto.ReplyError(env))
+	if code == "" {
+		t.Fatalf("error reply without a code: %s", env.Body)
 	}
-	return e.Code
+	return code
 }
 
 func itoa(n int) string {

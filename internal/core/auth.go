@@ -26,8 +26,8 @@ const (
 	IdentifyANN IdentifyMode = "ann"
 	// IdentifyExhaustive is the paper's reference path: the full
 	// one-vs-one SVM vote over every registered user — O(n²) decisions
-	// per image. Retained for ablation and as the fallback for models
-	// persisted before the embedding space existed.
+	// per image. Kept for the auth-stack ablation and as the oracle the
+	// ANN engine is tested against.
 	IdentifyExhaustive IdentifyMode = "exhaustive"
 )
 

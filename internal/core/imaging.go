@@ -38,26 +38,6 @@ func (ai *AcousticImage) GridCenter(r, c int) array.Vec3 {
 	return array.Vec3{X: x, Y: ai.PlaneDistM, Z: z}
 }
 
-// Imager implements §V-C: build a virtual imaging plane at the estimated
-// user distance, MVDR-steer the array to each grid, and set each pixel to
-// the L2 norm of the beamformed segment around the grid's expected
-// round-trip delay.
-type Imager struct {
-	cfg Config
-	arr *array.Array
-}
-
-// NewImager builds the image construction component.
-func NewImager(cfg Config, arr *array.Array) (*Imager, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if arr == nil {
-		return nil, fmt.Errorf("core: nil array")
-	}
-	return &Imager{cfg: cfg, arr: arr}, nil
-}
-
 // ImagingPlan precomputes everything about one (grid geometry, noise
 // covariance, plane distance) triple that is invariant across the L beeps
 // of a capture: the per-pixel steering directions, the conjugated MVDR
@@ -347,32 +327,32 @@ func (p *ImagingPlan) normalize(chans [][]complex128, ai *AcousticImage, refRMS 
 // provides it; the optional sub-band passes always preprocess with their
 // own filters. Cancelling ctx abandons the construction between bands and
 // between (beep, row) render batches.
-func (im *Imager) constructAll(ctx context.Context, cap *Capture, planeDist, emissionSec float64, noiseOnly [][]float64, pre *preprocessed) ([]*AcousticImage, error) {
+func (s *System) constructAll(ctx context.Context, cap *Capture, planeDist, emissionSec float64, noiseOnly [][]float64, pre *preprocessed) ([]*AcousticImage, error) {
 	if planeDist <= 0 {
 		return nil, fmt.Errorf("core: plane distance %g <= 0", planeDist)
 	}
-	out, err := im.constructBand(ctx, cap, im.cfg, planeDist, emissionSec, noiseOnly, nil, pre)
+	out, err := s.constructBand(ctx, cap, s.cfg, planeDist, emissionSec, noiseOnly, nil, pre)
 	if err != nil {
 		return nil, err
 	}
-	n := im.cfg.ImagingSubBands
+	n := s.cfg.ImagingSubBands
 	if n <= 1 {
 		return out, nil
 	}
-	width := (im.cfg.BandHighHz - im.cfg.BandLowHz) / float64(n)
+	width := (s.cfg.BandHighHz - s.cfg.BandLowHz) / float64(n)
 	for b := 0; b < n; b++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		sub := im.cfg
-		sub.BandLowHz = im.cfg.BandLowHz + float64(b)*width
+		sub := s.cfg
+		sub.BandLowHz = s.cfg.BandLowHz + float64(b)*width
 		sub.BandHighHz = sub.BandLowHz + width
 		// Narrow sub-bands need a gentler filter to stay numerically
 		// stable.
 		if sub.FilterOrder > 2 {
 			sub.FilterOrder = 2
 		}
-		if _, err := im.constructBand(ctx, cap, sub, planeDist, emissionSec, noiseOnly, out, nil); err != nil {
+		if _, err := s.constructBand(ctx, cap, sub, planeDist, emissionSec, noiseOnly, out, nil); err != nil {
 			return nil, fmt.Errorf("core: sub-band %d: %w", b, err)
 		}
 	}
@@ -386,7 +366,7 @@ func (im *Imager) constructAll(ctx context.Context, cap *Capture, planeDist, emi
 // slice is returned; otherwise the band images are appended to
 // attach[l].Bands. Cancelling ctx stops the (beep, row) feed; in-flight
 // rows finish (row render is pure arithmetic) and ctx's error is returned.
-func (im *Imager) constructBand(ctx context.Context, cap *Capture, cfg Config, planeDist, emissionSec float64, noiseOnly [][]float64, attach []*AcousticImage, pre *preprocessed) ([]*AcousticImage, error) {
+func (s *System) constructBand(ctx context.Context, cap *Capture, cfg Config, planeDist, emissionSec float64, noiseOnly [][]float64, attach []*AcousticImage, pre *preprocessed) ([]*AcousticImage, error) {
 	p := pre
 	if p == nil {
 		var err error
@@ -395,7 +375,7 @@ func (im *Imager) constructBand(ctx context.Context, cap *Capture, cfg Config, p
 			return nil, err
 		}
 	}
-	bf, err := beamform.New(im.arr, p.noiseCov, cfg.CenterFreqHz())
+	bf, err := beamform.New(s.arr, p.noiseCov, cfg.CenterFreqHz())
 	if err != nil {
 		return nil, err
 	}

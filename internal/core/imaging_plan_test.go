@@ -127,12 +127,12 @@ func TestImagingPlanMatchesUnplannedRender(t *testing.T) {
 // (shared plan + batched pool) against individual plan renders.
 func TestConstructAllMatchesPlanRender(t *testing.T) {
 	cfg, p, bf, capd := planTestSetup(t)
-	im, err := NewImager(cfg, array.ReSpeaker())
+	sys, err := NewSystem(cfg, array.ReSpeaker())
 	if err != nil {
-		t.Fatalf("imager: %v", err)
+		t.Fatalf("system: %v", err)
 	}
 	const planeDist, emissionSec = 0.7, 0.005
-	imgs, err := im.constructAll(context.Background(), capd, planeDist, emissionSec, nil, nil)
+	imgs, err := sys.constructAll(context.Background(), capd, planeDist, emissionSec, nil, nil)
 	if err != nil {
 		t.Fatalf("construct: %v", err)
 	}

@@ -68,9 +68,9 @@ func TestImageDiscriminability(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewDistanceEstimator: %v", err)
 	}
-	imager, err := NewImager(cfg, arr)
+	sys, err := NewSystem(cfg, arr)
 	if err != nil {
-		t.Fatalf("NewImager: %v", err)
+		t.Fatalf("NewSystem: %v", err)
 	}
 
 	makeImages := func(cap *Capture) []*AcousticImage {
@@ -79,7 +79,7 @@ func TestImageDiscriminability(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Estimate: %v", err)
 		}
-		imgs, err := imager.constructAll(context.Background(), cap, d.UserM, d.EmissionSec, nil, nil)
+		imgs, err := sys.constructAll(context.Background(), cap, d.UserM, d.EmissionSec, nil, nil)
 		if err != nil {
 			t.Fatalf("constructAll: %v", err)
 		}

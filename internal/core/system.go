@@ -9,12 +9,14 @@ import (
 )
 
 // System bundles the sensing pipeline front end: ranging plus imaging with
-// a shared configuration and array geometry.
+// a shared configuration and array geometry. Imaging implements §V-C:
+// build a virtual imaging plane at the estimated user distance,
+// MVDR-steer the array to each grid, and set each pixel to the L2 norm of
+// the beamformed segment around the grid's expected round-trip delay.
 type System struct {
 	cfg    Config
 	arr    *array.Array
 	ranger *DistanceEstimator
-	imager *Imager
 }
 
 // NewSystem builds the pipeline for an array geometry.
@@ -23,11 +25,7 @@ func NewSystem(cfg Config, arr *array.Array) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	imager, err := NewImager(cfg, arr)
-	if err != nil {
-		return nil, err
-	}
-	return &System{cfg: cfg, arr: arr, ranger: ranger, imager: imager}, nil
+	return &System{cfg: cfg, arr: arr, ranger: ranger}, nil
 }
 
 // Config returns the system configuration.
@@ -100,7 +98,7 @@ func (s *System) ProcessRecordedContext(ctx context.Context, cap *Capture, noise
 			plane = q
 		}
 	}
-	imgs, err := s.imager.constructAll(ctx, cap, plane, dist.EmissionSec, noiseOnly, pre)
+	imgs, err := s.constructAll(ctx, cap, plane, dist.EmissionSec, noiseOnly, pre)
 	if err != nil {
 		if cerr := ctx.Err(); cerr != nil {
 			return nil, cerr
@@ -119,7 +117,7 @@ func (s *System) ProcessRecordedContext(ctx context.Context, cap *Capture, noise
 // carries per-sub-band images (frequency-diverse imaging). Cancelling ctx
 // abandons the construction as in ProcessRecordedContext.
 func (s *System) ProcessAtDistance(ctx context.Context, cap *Capture, planeDist, emissionSec float64, noiseOnly [][]float64) (*ProcessResult, error) {
-	imgs, err := s.imager.constructAll(ctx, cap, planeDist, emissionSec, noiseOnly, nil)
+	imgs, err := s.constructAll(ctx, cap, planeDist, emissionSec, noiseOnly, nil)
 	if err != nil {
 		if cerr := ctx.Err(); cerr != nil {
 			return nil, cerr

@@ -26,15 +26,12 @@ import (
 // completed round trips.
 func busyClient(conn net.Conn, done chan<- int) {
 	pc := proto.NewConn(conn)
+	env, err := proto.NewEnvelope(proto.TypeStatusRequest, "busy", nil)
 	n := 0
-	for {
-		if err := pc.Send(proto.TypeStatusRequest, nil); err != nil {
-			break
+	for err == nil {
+		if _, err = pc.RoundTrip(env); err == nil {
+			n++
 		}
-		if _, err := pc.Receive(); err != nil {
-			break
-		}
-		n++
 	}
 	done <- n
 }
@@ -148,7 +145,7 @@ func TestRequestTimeoutCancelsPipeline(t *testing.T) {
 	}()
 
 	pc := proto.NewConn(client)
-	resp := v2call(t, pc, proto.TypeEnrollRequest, "deadline-1", proto.EnrollRequest{
+	resp := roundTrip(t, pc, proto.TypeEnrollRequest, "deadline-1", proto.EnrollRequest{
 		UserID:  1,
 		Capture: wireCapture(t, 1, 1, 4, 3),
 	})
@@ -196,7 +193,7 @@ func TestOverloadShedsThenBackoffSucceeds(t *testing.T) {
 	// would.
 	srv.captureSem <- struct{}{}
 
-	resp := v2call(t, pc, proto.TypeEnrollRequest, "shed-1", proto.EnrollRequest{UserID: 1, Capture: wire})
+	resp := roundTrip(t, pc, proto.TypeEnrollRequest, "shed-1", proto.EnrollRequest{UserID: 1, Capture: wire})
 	if resp.Type != proto.TypeError {
 		t.Fatalf("saturated enroll answered %q, want error", resp.Type)
 	}
@@ -226,7 +223,7 @@ func TestOverloadShedsThenBackoffSucceeds(t *testing.T) {
 	backoff := 25 * time.Millisecond
 	var ok bool
 	for attempt := 0; attempt < 6; attempt++ {
-		resp = v2call(t, pc, proto.TypeEnrollRequest, "retry", proto.EnrollRequest{UserID: 1, Capture: wire})
+		resp = roundTrip(t, pc, proto.TypeEnrollRequest, "retry", proto.EnrollRequest{UserID: 1, Capture: wire})
 		if resp.Type == proto.TypeEnrollResponse {
 			ok = true
 			break
@@ -319,7 +316,7 @@ func TestMidFrameDisconnectDoesNotWedge(t *testing.T) {
 	}
 	defer conn.Close()
 	pc := proto.NewConn(conn)
-	resp := v2call(t, pc, proto.TypeEnrollRequest, "clean-1", proto.EnrollRequest{UserID: 1, Capture: wire})
+	resp := roundTrip(t, pc, proto.TypeEnrollRequest, "clean-1", proto.EnrollRequest{UserID: 1, Capture: wire})
 	if resp.Type != proto.TypeEnrollResponse {
 		t.Fatalf("post-chaos enroll answered %q, want enroll_result", resp.Type)
 	}

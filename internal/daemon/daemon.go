@@ -51,14 +51,6 @@ type Options struct {
 	// processing slot before being shed with code `overloaded`. 0 means
 	// DefaultQueueWait; negative sheds immediately when saturated.
 	QueueWait time.Duration
-	// CaptureHold occupies each capture's processing slot for this extra
-	// duration, modeling the non-CPU time a real capture spends on the
-	// device — emitting the beep train and recording its echoes — which
-	// the simulator's in-memory captures skip entirely. Default (0) is
-	// off; it exists so load experiments on few-core machines can exhibit
-	// the slot contention a real deployment has. Always stated in bench
-	// reports when non-zero.
-	CaptureHold time.Duration
 	// ShutdownGrace is how long Serve waits, after cancellation, for
 	// in-flight connections to finish their current request before
 	// force-closing them. 0 means DefaultShutdownGrace.
@@ -89,20 +81,19 @@ const (
 // Server is the daemon transport. Construct with New or NewWithOptions;
 // methods are safe for concurrent connections.
 type Server struct {
-	sys         *core.System
-	reg         *registry.Registry
-	logf        func(format string, args ...any)
-	readTO      time.Duration
-	writeTO     time.Duration
-	requestTO   time.Duration
-	queueWait   time.Duration
-	captureHold time.Duration
-	grace       time.Duration
-	captureSem  chan struct{}
-	tel         *telemetry.Registry
-	met         serverMetrics
-	traces      *telemetry.TraceLog
-	stopping    atomic.Bool
+	sys        *core.System
+	reg        *registry.Registry
+	logf       func(format string, args ...any)
+	readTO     time.Duration
+	writeTO    time.Duration
+	requestTO  time.Duration
+	queueWait  time.Duration
+	grace      time.Duration
+	captureSem chan struct{}
+	tel        *telemetry.Registry
+	met        serverMetrics
+	traces     *telemetry.TraceLog
+	stopping   atomic.Bool
 
 	connMu sync.Mutex
 	conns  map[net.Conn]struct{} // guarded by connMu
@@ -145,18 +136,17 @@ func NewWithOptions(sys *core.System, authCfg core.AuthConfig, logf func(string,
 			Logf:      logf,
 			Telemetry: tel,
 		}),
-		logf:        logf,
-		readTO:      opts.ReadTimeout,
-		writeTO:     opts.WriteTimeout,
-		requestTO:   opts.RequestTimeout,
-		queueWait:   queueWait,
-		captureHold: opts.CaptureHold,
-		grace:       grace,
-		captureSem:  make(chan struct{}, maxCap),
-		tel:         tel,
-		met:         newServerMetrics(tel),
-		traces:      telemetry.NewTraceLog(traceCapacity),
-		conns:       make(map[net.Conn]struct{}),
+		logf:       logf,
+		readTO:     opts.ReadTimeout,
+		writeTO:    opts.WriteTimeout,
+		requestTO:  opts.RequestTimeout,
+		queueWait:  queueWait,
+		grace:      grace,
+		captureSem: make(chan struct{}, maxCap),
+		tel:        tel,
+		met:        newServerMetrics(tel),
+		traces:     telemetry.NewTraceLog(traceCapacity),
+		conns:      make(map[net.Conn]struct{}),
 	}
 }
 
@@ -369,16 +359,10 @@ func (s *Server) ServeConn(ctx context.Context, conn io.ReadWriter) {
 	}
 }
 
-// reply shapes a response envelope for a request: v2 requests get the
-// daemon's version and their request ID echoed; v1 requests (no version
-// field) get a bare v1 envelope, byte-compatible with the old protocol.
+// reply shapes a response envelope for a request: the daemon's version
+// and the request's ID echoed.
 func reply(req *proto.Envelope, msgType proto.MsgType) *proto.Envelope {
-	resp := &proto.Envelope{Type: msgType}
-	if req.Version >= 2 {
-		resp.Version = proto.Version
-		resp.RequestID = req.RequestID
-	}
-	return resp
+	return &proto.Envelope{Version: proto.Version, RequestID: req.RequestID, Type: msgType}
 }
 
 func withBody(env *proto.Envelope, body any) (*proto.Envelope, error) {
@@ -394,15 +378,23 @@ func withBody(env *proto.Envelope, body any) (*proto.Envelope, error) {
 // returned error carries a stable code for the in-band error reply. rec
 // receives pipeline stage timings for capture-processing requests.
 func (s *Server) handle(ctx context.Context, env *proto.Envelope, rec core.StageRecorder) (*proto.Envelope, error) {
+	if err := proto.CheckVersion(env); err != nil {
+		return nil, coded(proto.CodeBadRequest, err)
+	}
 	switch env.Type {
 	case proto.TypeEnrollRequest:
 		var req proto.EnrollRequest
 		if err := proto.DecodeBody(env, &req); err != nil {
 			return nil, coded(proto.CodeBadRequest, err)
 		}
-		// v1 semantics: retrain completes before the response. v2 queues
-		// the retrain on the registry worker and responds immediately.
-		resp, err := s.enroll(ctx, &req, env.Version < 2, rec)
+		// A router sends the enroll to the hinted user's shard; enrolling
+		// another user there would strand that user's images on a shard
+		// their authentications are never routed to.
+		if env.User != 0 && env.User != req.UserID {
+			return nil, coded(proto.CodeBadRequest,
+				fmt.Errorf("enroll routed as user %d carries user %d", env.User, req.UserID))
+		}
+		resp, err := s.enroll(ctx, &req, rec)
 		if err != nil {
 			return nil, err
 		}
@@ -494,17 +486,6 @@ func (s *Server) process(ctx context.Context, wire *proto.CaptureWire, rec core.
 		}
 	}
 	defer func() { <-s.captureSem }()
-	if s.captureHold > 0 {
-		// Model the on-device acquisition time inside the slot (see
-		// Options.CaptureHold). Cancellation still wins.
-		timer := time.NewTimer(s.captureHold)
-		select {
-		case <-timer.C:
-		case <-ctx.Done():
-			timer.Stop()
-			return nil, coded(proto.CodeUnavailable, fmt.Errorf("request cancelled: %w", ctx.Err()))
-		}
-	}
 	cap := &core.Capture{Beeps: wire.Beeps, SampleRate: wire.SampleRate, Reference: wire.Reference}
 	res, err := s.sys.ProcessRecordedContext(ctx, cap, wire.NoiseOnly, rec)
 	if err != nil {
@@ -518,19 +499,9 @@ func (s *Server) process(ctx context.Context, wire *proto.CaptureWire, rec core.
 	return res, nil
 }
 
-// Enroll adds a capture to a user's enrollment pool with v1 semantics:
-// when retrain is requested, the new model is live before Enroll returns.
-func (s *Server) Enroll(ctx context.Context, req *proto.EnrollRequest) (*proto.EnrollResponse, error) {
-	return s.enroll(ctx, req, true, s.stageOnly())
-}
-
-// stageOnly is the recorder for direct API calls: stage histograms move,
-// but no trace is collected (traces belong to transport requests).
-func (s *Server) stageOnly() core.StageRecorder {
-	return &stageRecorder{stages: s.met.stages}
-}
-
-func (s *Server) enroll(ctx context.Context, req *proto.EnrollRequest, syncRetrain bool, rec core.StageRecorder) (*proto.EnrollResponse, error) {
+// enroll adds a capture to a user's enrollment pool and, when the request
+// asks for it, queues a retrain on the registry worker.
+func (s *Server) enroll(ctx context.Context, req *proto.EnrollRequest, rec core.StageRecorder) (*proto.EnrollResponse, error) {
 	if req.UserID <= 0 {
 		return nil, coded(proto.CodeBadRequest, fmt.Errorf("user ID %d must be positive", req.UserID))
 	}
@@ -547,17 +518,10 @@ func (s *Server) enroll(ctx context.Context, req *proto.EnrollRequest, syncRetra
 		DistanceM: res.Distance.UserM,
 	}
 	if req.Retrain {
-		if syncRetrain {
-			if err := s.reg.Retrain(ctx); err != nil {
-				return nil, coded(proto.CodeTrain, fmt.Errorf("retrain: %w", err))
-			}
-			resp.Trained = true
-		} else {
-			if err := s.reg.RequestRetrain(); err != nil {
-				return nil, coded(proto.CodeUnavailable, err)
-			}
-			resp.RetrainQueued = true
+		if err := s.reg.RequestRetrain(); err != nil {
+			return nil, coded(proto.CodeUnavailable, err)
 		}
+		resp.RetrainQueued = true
 	}
 	stats := s.reg.Stats()
 	resp.TotalUsers = len(stats.Users)
@@ -565,13 +529,9 @@ func (s *Server) enroll(ctx context.Context, req *proto.EnrollRequest, syncRetra
 	return resp, nil
 }
 
-// Authenticate runs a capture through the live model snapshot. It never
+// authenticate runs a capture through the live model snapshot. It never
 // waits on training: the previous model answers until the registry swaps
 // in the next one.
-func (s *Server) Authenticate(ctx context.Context, req *proto.AuthRequest) (*proto.AuthResponse, error) {
-	return s.authenticate(ctx, req, s.stageOnly())
-}
-
 func (s *Server) authenticate(ctx context.Context, req *proto.AuthRequest, rec core.StageRecorder) (*proto.AuthResponse, error) {
 	snap := s.reg.Snapshot()
 	if snap == nil {
@@ -595,7 +555,7 @@ func (s *Server) authenticate(ctx context.Context, req *proto.AuthRequest, rec c
 	}, nil
 }
 
-// retrain serves the v2 retrain message.
+// retrain serves the retrain message.
 func (s *Server) retrain(ctx context.Context, req *proto.RetrainRequest) (*proto.RetrainResponse, error) {
 	if req.Wait {
 		if err := s.reg.Retrain(ctx); err != nil {
@@ -611,7 +571,7 @@ func (s *Server) retrain(ctx context.Context, req *proto.RetrainRequest) (*proto
 	return resp, nil
 }
 
-// handoff serves the v2 administrative handoff message, moving one user's
+// handoff serves the administrative handoff message, moving one user's
 // shard-local state in (install a blob from a draining peer) or out
 // (flush and return this shard's blob for the user). Errors map to the
 // stable codes the router's drain pipeline acts on: a malformed or

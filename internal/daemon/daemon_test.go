@@ -55,33 +55,86 @@ func wireCapture(t *testing.T, userID, session, beeps int, seed int64) proto.Cap
 	}
 }
 
+// serveConn serves srv on one end of an in-memory pipe for the rest of
+// the test and returns a client connection on the other end.
+func serveConn(t *testing.T, srv *Server) *proto.Conn {
+	t.Helper()
+	client, server := net.Pipe()
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() {
+		srv.ServeConn(ctx, server)
+		server.Close()
+		close(done)
+	}()
+	t.Cleanup(func() {
+		cancel()
+		client.Close()
+		<-done
+	})
+	return proto.NewConn(client)
+}
+
+// mustCall sends one request and decodes its success reply into out (when
+// non-nil), failing the test on an error reply.
+func mustCall(t *testing.T, pc *proto.Conn, msgType proto.MsgType, body, out any) {
+	t.Helper()
+	resp := roundTrip(t, pc, msgType, "must-"+string(msgType), body)
+	if err := proto.ReplyError(resp); err != nil {
+		t.Fatalf("%s: %v", msgType, err)
+	}
+	if out != nil {
+		if err := proto.DecodeBody(resp, out); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// enrollTrained enrolls each capture for user without retraining, then
+// sends a waiting retrain, so a model covering them is live on return.
+func enrollTrained(t *testing.T, pc *proto.Conn, user int, wires ...proto.CaptureWire) {
+	t.Helper()
+	for _, w := range wires {
+		mustCall(t, pc, proto.TypeEnrollRequest, proto.EnrollRequest{UserID: user, Capture: w}, nil)
+	}
+	mustCall(t, pc, proto.TypeRetrainRequest, proto.RetrainRequest{Wait: true}, nil)
+}
+
+// replyCode is the stable code of an error reply ("" for success).
+func replyCode(resp *proto.Envelope) string {
+	return proto.ErrorCode(proto.ReplyError(resp))
+}
+
 func TestEnrollAuthenticateDirect(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-backed")
 	}
 	srv := testServer(t, Options{})
-	ctx := context.Background()
+	pc := serveConn(t, srv)
 
 	// Authentication before any training must fail cleanly.
-	if _, err := srv.Authenticate(ctx, &proto.AuthRequest{Capture: wireCapture(t, 1, 3, 2, 9)}); err == nil {
-		t.Error("untrained daemon authenticated")
+	resp := roundTrip(t, pc, proto.TypeAuthRequest, "early", proto.AuthRequest{Capture: wireCapture(t, 1, 3, 2, 9)})
+	if code := replyCode(resp); code != proto.CodeNotTrained {
+		t.Errorf("untrained daemon answered %s/%q, want not_trained", resp.Type, code)
 	}
 
 	for p := 0; p < 3; p++ {
-		resp, err := srv.Enroll(ctx, &proto.EnrollRequest{
+		var enrolled proto.EnrollResponse
+		mustCall(t, pc, proto.TypeEnrollRequest, proto.EnrollRequest{
 			UserID:  1,
 			Capture: wireCapture(t, 1, 1, 5, int64(p)),
-			Retrain: p == 2,
-		})
-		if err != nil {
-			t.Fatal(err)
+		}, &enrolled)
+		if enrolled.Images != 5 {
+			t.Errorf("placement %d produced %d images", p, enrolled.Images)
 		}
-		if resp.Images != 5 {
-			t.Errorf("placement %d produced %d images", p, resp.Images)
+		if enrolled.RetrainQueued {
+			t.Errorf("placement %d queued a retrain it did not ask for", p)
 		}
-		if (p == 2) != resp.Trained {
-			t.Errorf("placement %d trained=%v", p, resp.Trained)
-		}
+	}
+	var rt proto.RetrainResponse
+	mustCall(t, pc, proto.TypeRetrainRequest, proto.RetrainRequest{Wait: true}, &rt)
+	if rt.Queued || rt.ModelVersion != 1 {
+		t.Errorf("waited retrain got %+v", rt)
 	}
 	status := srv.Status()
 	if !status.Trained || status.TotalImages != 15 || len(status.Users) != 1 {
@@ -91,29 +144,101 @@ func TestEnrollAuthenticateDirect(t *testing.T) {
 		t.Errorf("model version %d after first train", status.ModelVersion)
 	}
 
-	resp, err := srv.Authenticate(ctx, &proto.AuthRequest{Capture: wireCapture(t, 1, 3, 4, 42)})
-	if err != nil {
-		t.Fatal(err)
+	var auth proto.AuthResponse
+	mustCall(t, pc, proto.TypeAuthRequest, proto.AuthRequest{Capture: wireCapture(t, 1, 3, 4, 42)}, &auth)
+	t.Logf("legit: accepted=%v id=%d score=%.3f dist=%.2f", auth.Accepted, auth.UserID, auth.GateScore, auth.DistanceM)
+	if auth.Accepted && auth.UserID != 1 {
+		t.Errorf("accepted as wrong user %d", auth.UserID)
 	}
-	t.Logf("legit: accepted=%v id=%d score=%.3f dist=%.2f", resp.Accepted, resp.UserID, resp.GateScore, resp.DistanceM)
-	if resp.Accepted && resp.UserID != 1 {
-		t.Errorf("accepted as wrong user %d", resp.UserID)
-	}
-	if resp.ModelVersion != 1 {
-		t.Errorf("decision from model version %d", resp.ModelVersion)
+	if auth.ModelVersion != 1 {
+		t.Errorf("decision from model version %d", auth.ModelVersion)
 	}
 }
 
 func TestEnrollValidation(t *testing.T) {
 	srv := testServer(t, Options{})
-	if _, err := srv.Enroll(context.Background(), &proto.EnrollRequest{UserID: 0}); err == nil {
-		t.Error("user 0 accepted")
+	resp := roundTrip(t, serveConn(t, srv), proto.TypeEnrollRequest, "user-0", proto.EnrollRequest{UserID: 0})
+	if code := replyCode(resp); code != proto.CodeBadRequest {
+		t.Errorf("user 0 answered %s/%q, want bad_request", resp.Type, code)
 	}
 }
 
-// TestServeOverTCP exercises a v1 client — bare envelopes without version
-// or request ID — against the v2 daemon: enroll with synchronous retrain,
-// status, and an in-band protocol error, unchanged from the old protocol.
+// TestEnrollRejectsMismatchedHint: a router sends an enroll to the shard
+// owning its envelope hint, so an enroll whose hint names another user
+// than its body would strand that user's images where their
+// authentications are never routed. The daemon refuses it bad_request and
+// enrolls nothing; a matching hint enrolls as usual.
+func TestEnrollRejectsMismatchedHint(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation-backed")
+	}
+	srv := testServer(t, Options{})
+	pc := serveConn(t, srv)
+	wire := wireCapture(t, 5, 1, 2, 1)
+	enroll := func(reqID string, hint int) *proto.Envelope {
+		env, err := proto.NewEnvelope(proto.TypeEnrollRequest, reqID, proto.EnrollRequest{UserID: 5, Capture: wire})
+		if err != nil {
+			t.Fatal(err)
+		}
+		env.User = hint
+		resp, err := pc.RoundTrip(env)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	}
+	if resp := enroll("crossed", 3); replyCode(resp) != proto.CodeBadRequest {
+		t.Fatalf("enroll hinted 3 for user 5 answered %s/%q, want bad_request", resp.Type, replyCode(resp))
+	}
+	if st := srv.Status(); st.TotalImages != 0 || len(st.Users) != 0 {
+		t.Fatalf("refused enroll added images: %+v", st)
+	}
+	if resp := enroll("matched", 5); resp.Type != proto.TypeEnrollResponse {
+		t.Fatalf("enroll hinted 5 for user 5 answered %s/%q", resp.Type, replyCode(resp))
+	}
+	if st := srv.Status(); st.TotalImages != 2 || len(st.Users) != 1 || st.Users[0] != 5 {
+		t.Errorf("matched enroll left status %+v", st)
+	}
+}
+
+// TestVersionMismatchRefused: an envelope of any version but
+// proto.Version is answered in band with bad_request — request ID echoed,
+// connection kept — and does no work.
+func TestVersionMismatchRefused(t *testing.T) {
+	srv := testServer(t, Options{})
+	pc := serveConn(t, srv)
+	wire := wireCapture(t, 1, 1, 2, 1)
+	for _, v := range []int{0, 3} {
+		env, err := proto.NewEnvelope(proto.TypeEnrollRequest, fmt.Sprintf("v%d", v),
+			proto.EnrollRequest{UserID: 1, Capture: wire, Retrain: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		env.Version = v
+		resp, err := pc.RoundTrip(env)
+		if err != nil {
+			t.Fatalf("version %d: %v", v, err)
+		}
+		if code := replyCode(resp); code != proto.CodeBadRequest {
+			t.Errorf("version %d enroll answered %s/%q, want bad_request", v, resp.Type, code)
+		}
+		if resp.Version != proto.Version {
+			t.Errorf("version %d refusal carries version %d", v, resp.Version)
+		}
+	}
+	if st := srv.Status(); st.TotalImages != 0 || st.Trained {
+		t.Errorf("refused enrolls did work: %+v", st)
+	}
+	if got := srv.Telemetry().Counter("echoimage_registry_trains_started_total", "").Value(); got != 0 {
+		t.Errorf("refused enrolls started %d trains", got)
+	}
+	var status proto.StatusResponse
+	mustCall(t, pc, proto.TypeStatusRequest, nil, &status)
+}
+
+// TestServeOverTCP drives a client over a real socket through Serve:
+// enroll with a queued retrain, a waiting retrain, status, and an unknown
+// type answered in band with a stable code, then a clean shutdown.
 func TestServeOverTCP(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-backed")
@@ -133,67 +258,35 @@ func TestServeOverTCP(t *testing.T) {
 	}
 	pc := proto.NewConn(conn)
 
-	// Enroll with retrain over the wire; v1 semantics are synchronous, so
-	// the response must report the model trained, not queued.
-	if err := pc.Send(proto.TypeEnrollRequest, proto.EnrollRequest{
+	// Enroll with retrain: the response returns with the retrain queued.
+	var enrolled proto.EnrollResponse
+	mustCall(t, pc, proto.TypeEnrollRequest, proto.EnrollRequest{
 		UserID:  2,
 		Capture: wireCapture(t, 2, 1, 6, 1),
 		Retrain: true,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	env, err := pc.Receive()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if env.Type != proto.TypeEnrollResponse {
-		t.Fatalf("response type %q", env.Type)
-	}
-	if env.Version != 0 || env.RequestID != "" {
-		t.Errorf("v1 request answered with v2 envelope fields: %+v", env)
-	}
-	var enrolled proto.EnrollResponse
-	if err := proto.DecodeBody(env, &enrolled); err != nil {
-		t.Fatal(err)
-	}
-	if !enrolled.Trained || enrolled.RetrainQueued {
-		t.Errorf("v1 enroll got %+v, want synchronous train", enrolled)
+	}, &enrolled)
+	if !enrolled.RetrainQueued || enrolled.Images != 6 {
+		t.Errorf("enroll got %+v, want 6 images and a queued retrain", enrolled)
 	}
 
-	// Status round trip.
-	if err := pc.Send(proto.TypeStatusRequest, nil); err != nil {
-		t.Fatal(err)
+	// A waiting retrain returns once a model covering the enroll is live.
+	var rt proto.RetrainResponse
+	mustCall(t, pc, proto.TypeRetrainRequest, proto.RetrainRequest{Wait: true}, &rt)
+	if rt.Queued || rt.ModelVersion < 1 {
+		t.Errorf("waited retrain got %+v", rt)
 	}
-	env, err = pc.Receive()
-	if err != nil {
-		t.Fatal(err)
-	}
+
 	var status proto.StatusResponse
-	if err := proto.DecodeBody(env, &status); err != nil {
-		t.Fatal(err)
-	}
-	if !status.Trained {
-		t.Error("daemon not trained after retrain request")
+	mustCall(t, pc, proto.TypeStatusRequest, nil, &status)
+	if !status.Trained || status.TotalImages != 6 || status.ModelVersion != rt.ModelVersion {
+		t.Errorf("status %+v after retrain to v%d", status, rt.ModelVersion)
 	}
 
-	// A malformed request yields a protocol error with a stable code, not
-	// a dropped connection.
-	if err := pc.Send(proto.MsgType("bogus"), nil); err != nil {
-		t.Fatal(err)
-	}
-	env, err = pc.Receive()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if env.Type != proto.TypeError {
-		t.Errorf("bogus request answered with %q", env.Type)
-	}
-	var perr proto.ErrorResponse
-	if err := proto.DecodeBody(env, &perr); err != nil {
-		t.Fatal(err)
-	}
-	if perr.Code != proto.CodeUnknownType {
-		t.Errorf("error code %q, want %q", perr.Code, proto.CodeUnknownType)
+	// An unknown type yields an error with a stable code, not a dropped
+	// connection.
+	resp := roundTrip(t, pc, proto.MsgType("bogus"), "bogus-1", nil)
+	if code := replyCode(resp); code != proto.CodeUnknownType {
+		t.Errorf("bogus request answered %s/%q, want %q", resp.Type, code, proto.CodeUnknownType)
 	}
 
 	conn.Close()
@@ -217,16 +310,9 @@ func TestModelPersistenceAcrossRestart(t *testing.T) {
 	}
 	dir := t.TempDir()
 	modelPath := dir + "/model.json"
-	ctx := context.Background()
 
 	srv := testServer(t, Options{ModelPath: modelPath})
-	if _, err := srv.Enroll(ctx, &proto.EnrollRequest{
-		UserID:  1,
-		Capture: wireCapture(t, 1, 1, 8, 1),
-		Retrain: true,
-	}); err != nil {
-		t.Fatal(err)
-	}
+	enrollTrained(t, serveConn(t, srv), 1, wireCapture(t, 1, 1, 8, 1))
 
 	f, err := os.Open(modelPath)
 	if err != nil {
@@ -243,33 +329,25 @@ func TestModelPersistenceAcrossRestart(t *testing.T) {
 	if info := fresh.ModelInfo(); !info.Loaded {
 		t.Errorf("restored model info %+v, want Loaded", info)
 	}
-	resp, err := fresh.Authenticate(ctx, &proto.AuthRequest{Capture: wireCapture(t, 1, 3, 4, 9)})
-	if err != nil {
-		t.Fatal(err)
-	}
+	var resp proto.AuthResponse
+	mustCall(t, serveConn(t, fresh), proto.TypeAuthRequest, proto.AuthRequest{Capture: wireCapture(t, 1, 3, 4, 9)}, &resp)
 	t.Logf("restored-model decision: accepted=%v id=%d score=%.3f", resp.Accepted, resp.UserID, resp.GateScore)
 	if resp.Accepted && resp.UserID != 1 {
 		t.Errorf("restored model misidentified user as %d", resp.UserID)
 	}
 }
 
-// v2call sends a v2 envelope and returns the response after verifying the
-// request-ID echo.
-func v2call(t *testing.T, pc *proto.Conn, msgType proto.MsgType, reqID string, body any) *proto.Envelope {
+// roundTrip sends one request through proto.Conn.RoundTrip, which
+// verifies the request-ID echo, and returns the reply.
+func roundTrip(t *testing.T, pc *proto.Conn, msgType proto.MsgType, reqID string, body any) *proto.Envelope {
 	t.Helper()
 	env, err := proto.NewEnvelope(msgType, reqID, body)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := pc.SendEnvelope(env); err != nil {
-		t.Fatal(err)
-	}
-	resp, err := pc.Receive()
+	resp, err := pc.RoundTrip(env)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if resp.RequestID != reqID {
-		t.Fatalf("response request_id %q, want %q", resp.RequestID, reqID)
 	}
 	if resp.Version != proto.Version {
 		t.Fatalf("response version %d, want %d", resp.Version, proto.Version)
@@ -278,7 +356,7 @@ func v2call(t *testing.T, pc *proto.Conn, msgType proto.MsgType, reqID string, b
 }
 
 // TestAuthenticateDuringRetrain is the serving-stack liveness proof: with
-// a background retrain deliberately blocked in the trainer, parallel v2
+// a background retrain deliberately blocked in the trainer, parallel
 // authenticate requests must all be answered by the previous model
 // version. Only after the trainer is released may the version advance.
 // Run under -race (make race) this also checks the swap for data races.
@@ -304,15 +382,6 @@ func TestAuthenticateDuringRetrain(t *testing.T) {
 	srv := testServer(t, Options{Train: train, QueueWait: time.Minute})
 	ctx := context.Background()
 
-	// Train model v1 synchronously so authentication has a live model.
-	if _, err := srv.Enroll(ctx, &proto.EnrollRequest{
-		UserID:  1,
-		Capture: wireCapture(t, 1, 1, 6, 1),
-		Retrain: true,
-	}); err != nil {
-		t.Fatal(err)
-	}
-
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -322,15 +391,18 @@ func TestAuthenticateDuringRetrain(t *testing.T) {
 	serveDone := make(chan error, 1)
 	go func() { serveDone <- srv.Serve(serveCtx, ln) }()
 
-	// v2 enroll with retrain: the response must come back immediately
-	// with the retrain queued, while the trainer blocks on `release`.
+	// Enroll with retrain: the response must come back immediately with
+	// the retrain queued, while the trainer blocks on `release`.
 	conn, err := net.Dial("tcp", ln.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
 	pc := proto.NewConn(conn)
-	resp := v2call(t, pc, proto.TypeEnrollRequest, "enroll-1", proto.EnrollRequest{
+	// Train model v1 (the trainer's first run is not held) so
+	// authentication has a live model.
+	enrollTrained(t, pc, 1, wireCapture(t, 1, 1, 6, 1))
+	resp := roundTrip(t, pc, proto.TypeEnrollRequest, "enroll-1", proto.EnrollRequest{
 		UserID:  1,
 		Capture: wireCapture(t, 1, 2, 6, 2),
 		Retrain: true,
@@ -342,8 +414,8 @@ func TestAuthenticateDuringRetrain(t *testing.T) {
 	if err := proto.DecodeBody(resp, &enrolled); err != nil {
 		t.Fatal(err)
 	}
-	if !enrolled.RetrainQueued || enrolled.Trained {
-		t.Fatalf("v2 enroll got %+v, want queued retrain", enrolled)
+	if !enrolled.RetrainQueued {
+		t.Fatalf("enroll got %+v, want queued retrain", enrolled)
 	}
 
 	// With the retrain wedged in the trainer, N parallel authenticates
@@ -362,19 +434,14 @@ func TestAuthenticateDuringRetrain(t *testing.T) {
 				return
 			}
 			defer c.Close()
-			cpc := proto.NewConn(c)
-			env, err := proto.NewEnvelope(proto.TypeAuthRequest, "", proto.AuthRequest{
+			env, err := proto.NewEnvelope(proto.TypeAuthRequest, fmt.Sprintf("auth-%d", i), proto.AuthRequest{
 				Capture: wireCapture(t, 1, 3, 3, int64(100+i)),
 			})
 			if err != nil {
 				errs <- err
 				return
 			}
-			if err := cpc.SendEnvelope(env); err != nil {
-				errs <- err
-				return
-			}
-			r, err := cpc.Receive()
+			r, err := proto.NewConn(c).RoundTrip(env)
 			if err != nil {
 				errs <- err
 				return
@@ -413,7 +480,7 @@ func TestAuthenticateDuringRetrain(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	info := v2call(t, pc, proto.TypeModelInfoRequest, "info-1", nil)
+	info := roundTrip(t, pc, proto.TypeModelInfoRequest, "info-1", nil)
 	var mi proto.ModelInfoResponse
 	if err := proto.DecodeBody(info, &mi); err != nil {
 		t.Fatal(err)
@@ -423,36 +490,19 @@ func TestAuthenticateDuringRetrain(t *testing.T) {
 	}
 }
 
-// TestRetrainMessage drives the v2 retrain/model_info pair end to end.
+// TestRetrainMessage drives the retrain message end to end.
 func TestRetrainMessage(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-backed")
 	}
 	srv := testServer(t, Options{})
-	ctx := context.Background()
-	if _, err := srv.Enroll(ctx, &proto.EnrollRequest{
+	pc := serveConn(t, srv)
+	mustCall(t, pc, proto.TypeEnrollRequest, proto.EnrollRequest{
 		UserID:  1,
 		Capture: wireCapture(t, 1, 1, 6, 1),
-	}); err != nil {
-		t.Fatal(err)
-	}
+	}, nil)
 
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	serveCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	serveDone := make(chan error, 1)
-	go func() { serveDone <- srv.Serve(serveCtx, ln) }()
-	conn, err := net.Dial("tcp", ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	pc := proto.NewConn(conn)
-
-	resp := v2call(t, pc, proto.TypeRetrainRequest, "rt-1", proto.RetrainRequest{Wait: true})
+	resp := roundTrip(t, pc, proto.TypeRetrainRequest, "rt-1", proto.RetrainRequest{Wait: true})
 	if resp.Type != proto.TypeRetrainResponse {
 		t.Fatalf("response type %q", resp.Type)
 	}

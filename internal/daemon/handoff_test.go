@@ -1,7 +1,6 @@
 package daemon
 
 import (
-	"context"
 	"os"
 	"path/filepath"
 	"testing"
@@ -21,18 +20,10 @@ func TestHandoffExportImport(t *testing.T) {
 	srcDir, dstDir := t.TempDir(), t.TempDir()
 	src := testServer(t, Options{StateDir: srcDir})
 	dst := testServer(t, Options{StateDir: dstDir})
-	ctx := context.Background()
 
 	const user = 2
-	for p := 0; p < 2; p++ {
-		if _, err := src.Enroll(ctx, &proto.EnrollRequest{
-			UserID:  user,
-			Capture: wireCapture(t, user, p+1, 3, int64(p)),
-			Retrain: p == 1,
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
+	enrollTrained(t, serveConn(t, src), user,
+		wireCapture(t, user, 1, 3, 0), wireCapture(t, user, 2, 3, 1))
 
 	exp, err := src.handoff(&proto.HandoffRequest{UserID: user, Export: true})
 	if err != nil {
@@ -74,10 +65,8 @@ func TestHandoffExportImport(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	resp, err := dst.Authenticate(ctx, &proto.AuthRequest{Capture: wireCapture(t, user, 3, 3, 77)})
-	if err != nil {
-		t.Fatal(err)
-	}
+	var resp proto.AuthResponse
+	mustCall(t, serveConn(t, dst), proto.TypeAuthRequest, proto.AuthRequest{Capture: wireCapture(t, user, 3, 3, 77)}, &resp)
 	t.Logf("post-handoff auth: accepted=%v id=%d score=%.3f", resp.Accepted, resp.UserID, resp.GateScore)
 	if resp.Accepted && resp.UserID != user {
 		t.Errorf("accepted as wrong user %d", resp.UserID)

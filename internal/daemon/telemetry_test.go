@@ -24,7 +24,7 @@ func errCounter(srv *Server, code string) uint64 {
 
 // TestErrorResponsesCountAndEchoRequestID drives every cheap error path
 // over a loopback connection and asserts two invariants per request: the
-// matching error-code counter moves by exactly one, and the v2 request
+// matching error-code counter moves by exactly one, and the request
 // ID comes back on the error envelope.
 func TestErrorResponsesCountAndEchoRequestID(t *testing.T) {
 	srv := testServer(t, Options{})
@@ -60,10 +60,7 @@ func TestErrorResponsesCountAndEchoRequestID(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := pc.SendEnvelope(env); err != nil {
-			t.Fatal(err)
-		}
-		resp, err := pc.Receive()
+		resp, err := pc.RoundTrip(env)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -127,15 +124,6 @@ func TestMetricsEndToEnd(t *testing.T) {
 	srv := testServer(t, Options{})
 	ctx := context.Background()
 
-	// Enroll + synchronous retrain so a model is live (one registry train).
-	if _, err := srv.Enroll(ctx, &proto.EnrollRequest{
-		UserID:  1,
-		Capture: wireCapture(t, 1, 1, 6, 1),
-		Retrain: true,
-	}); err != nil {
-		t.Fatal(err)
-	}
-
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -151,14 +139,17 @@ func TestMetricsEndToEnd(t *testing.T) {
 	defer conn.Close()
 	pc := proto.NewConn(conn)
 
+	// Enroll + waiting retrain so a model is live (one registry train).
+	enrollTrained(t, pc, 1, wireCapture(t, 1, 1, 6, 1))
+
 	// One authenticate and one error over the live socket.
-	resp := v2call(t, pc, proto.TypeAuthRequest, "e2e-auth", proto.AuthRequest{
+	resp := roundTrip(t, pc, proto.TypeAuthRequest, "e2e-auth", proto.AuthRequest{
 		Capture: wireCapture(t, 1, 3, 3, 7),
 	})
 	if resp.Type != proto.TypeAuthResponse {
 		t.Fatalf("auth answered with %q", resp.Type)
 	}
-	if errEnv := v2call(t, pc, proto.MsgType("nonsense"), "e2e-err", nil); errEnv.Type != proto.TypeError {
+	if errEnv := roundTrip(t, pc, proto.MsgType("nonsense"), "e2e-err", nil); errEnv.Type != proto.TypeError {
 		t.Fatalf("bogus request answered with %q", errEnv.Type)
 	}
 

@@ -22,7 +22,8 @@ func frame(payload []byte) []byte {
 func FuzzRead(f *testing.F) {
 	// Valid v2 envelope.
 	f.Add(frame([]byte(`{"version":2,"request_id":"r-1","type":"status"}`)))
-	// Valid v1 envelope with a body.
+	// Versionless envelope with a body: Read accepts the frame, and
+	// dispatch refuses it (CheckVersion).
 	f.Add(frame([]byte(`{"type":"enroll","body":{"user_id":3}}`)))
 	// Error response envelope.
 	f.Add(frame([]byte(`{"type":"error","body":{"code":"overloaded","message":"shed"}}`)))

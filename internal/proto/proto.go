@@ -3,36 +3,49 @@
 // stream transport. The daemon owns the trained authenticator; clients
 // submit captures for enrollment or authentication.
 //
-// Versioning: protocol v2 adds a `version` and `request_id` field to the
-// envelope (both echoed in responses, so a client may pipeline requests),
-// plus retrain and model_info message types. A missing version field marks
-// a v1 client; v1 semantics — synchronous retrain on enroll, no echo —
-// are preserved by the daemon.
+// Versioning: every envelope carries the sender's `version` and a
+// `request_id`, and every response echoes both. Version 2 is the only
+// dialect: servers answer any other version in band with bad_request
+// (CheckVersion), and Conn.RoundTrip fails a reply that does not echo its
+// request's ID.
 package proto
 
 import (
 	"bufio"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 )
 
 // MaxMessageBytes bounds a single message to keep a misbehaving peer from
-// exhausting memory. Captures dominate message size: 20 beeps × 6 channels
-// × 2640 samples × 8 bytes ≈ 2.5 MiB as JSON numbers.
+// exhausting memory. Captures dominate message size: a 12-beep capture with
+// its noise-only and reference channels is about 7 MiB of JSON numbers,
+// and each further beep adds about 0.32 MiB.
 const MaxMessageBytes = 64 << 20
 
-// Version is the protocol version this package speaks. Envelopes carry
-// the sender's version; 0 (field absent) means v1.
+// Version is the protocol version this package speaks, and the only one
+// its servers accept.
 const Version = 2
+
+// CheckVersion reports whether env speaks this package's protocol version.
+// Servers call it before dispatch and answer a failure in band with
+// CodeBadRequest, so a peer on another version learns why instead of
+// losing its connection.
+func CheckVersion(env *Envelope) error {
+	if env.Version != Version {
+		return fmt.Errorf("protocol version %d is not supported: this server speaks only version %d", env.Version, Version)
+	}
+	return nil
+}
 
 // MsgType discriminates requests and responses.
 type MsgType string
 
-// Protocol message types. The retrain and model_info pairs are v2-only.
-// The handoff pair is v2-only and administrative: echoimage-router uses it
-// to move one user's shard-local state between daemons during a drain.
+// Protocol message types. The handoff pair is administrative:
+// echoimage-router uses it to move one user's shard-local state between
+// daemons during a drain.
 const (
 	TypeEnrollRequest     MsgType = "enroll"
 	TypeAuthRequest       MsgType = "authenticate"
@@ -82,26 +95,27 @@ func RetryableCode(code string) bool {
 	return false
 }
 
-// Envelope frames every message. Version and RequestID are v2 additions;
-// both marshal to nothing for v1 peers, keeping v1 frames byte-compatible.
+// Envelope frames every message.
 type Envelope struct {
-	// Version is the sender's protocol version; 0 means v1.
+	// Version is the sender's protocol version; servers accept only
+	// Version.
 	Version int `json:"version,omitempty"`
 	// RequestID is an opaque client-chosen correlation token, echoed
 	// verbatim in the response to this request.
 	RequestID string `json:"request_id,omitempty"`
 	// User is an optional routing hint naming the subject user of the
 	// request. It lets echoimage-router pick the owning shard from the
-	// envelope alone — without decoding a multi-megabyte capture body —
-	// and is what routes requests (retrain, model_info) whose bodies
-	// carry no user at all. The daemon ignores it; 0 (field absent)
-	// keeps v1 and unrouted v2 frames byte-identical.
+	// envelope alone — it never decodes a capture body — so the router
+	// refuses an enroll or authenticate without it. It also routes
+	// requests (retrain, model_info) whose bodies carry no user at all.
+	// The daemon refuses an enroll whose non-zero hint names a different
+	// user than its body; 0 (field absent) means unrouted.
 	User int             `json:"user,omitempty"`
 	Type MsgType         `json:"type"`
 	Body json.RawMessage `json:"body,omitempty"`
 }
 
-// NewEnvelope marshals body into a v2 envelope carrying the given
+// NewEnvelope marshals body into an envelope carrying the given
 // correlation token. A nil body produces an empty-body envelope.
 func NewEnvelope(msgType MsgType, requestID string, body any) (*Envelope, error) {
 	env := &Envelope{Version: Version, RequestID: requestID, Type: msgType}
@@ -132,9 +146,9 @@ type CaptureWire struct {
 type EnrollRequest struct {
 	UserID  int         `json:"user_id"`
 	Capture CaptureWire `json:"capture"`
-	// Retrain, when set, requests a model rebuild. For v1 clients the
-	// rebuild completes before the response; for v2 clients it is queued
-	// on the registry worker and the response returns immediately.
+	// Retrain, when set, queues a model rebuild on the registry worker;
+	// the response returns immediately. Send a retrain request with Wait
+	// set to block until a model is live.
 	Retrain bool `json:"retrain"`
 }
 
@@ -143,11 +157,10 @@ type EnrollResponse struct {
 	UserID      int     `json:"user_id"`
 	Images      int     `json:"images"`
 	DistanceM   float64 `json:"distance_m"`
-	Trained     bool    `json:"trained"`
 	TotalUsers  int     `json:"total_users"`
 	TotalImages int     `json:"total_images"`
 	// RetrainQueued reports that a background retrain was scheduled
-	// (v2 enroll with retrain=true).
+	// (enroll with retrain=true).
 	RetrainQueued bool `json:"retrain_queued,omitempty"`
 }
 
@@ -163,8 +176,7 @@ type AuthResponse struct {
 	GateScore float64 `json:"gate_score"`
 	DistanceM float64 `json:"distance_m"`
 	Images    int     `json:"images"`
-	// ModelVersion is the registry version of the model that decided
-	// (v2; omitted for v1 peers' benefit when zero).
+	// ModelVersion is the registry version of the model that decided.
 	ModelVersion int `json:"model_version,omitempty"`
 }
 
@@ -173,7 +185,7 @@ type StatusResponse struct {
 	Users       []int `json:"users"`
 	Trained     bool  `json:"trained"`
 	TotalImages int   `json:"total_images"`
-	// ModelVersion is the registry version of the live model (v2).
+	// ModelVersion is the registry version of the live model.
 	ModelVersion int `json:"model_version,omitempty"`
 	// Degraded is set only by echoimage-router on aggregated responses:
 	// the fan-out that produced this union missed at least one member
@@ -183,14 +195,14 @@ type StatusResponse struct {
 }
 
 // RetrainRequest asks the daemon to rebuild the model from the current
-// enrollment pools (v2).
+// enrollment pools.
 type RetrainRequest struct {
-	// Wait blocks the response until the rebuild finishes (v1-style
-	// synchronous semantics); otherwise the request only queues it.
+	// Wait blocks the response until the rebuild finishes and the new
+	// model is live; otherwise the request only queues it.
 	Wait bool `json:"wait,omitempty"`
 }
 
-// RetrainResponse acknowledges a retrain request (v2).
+// RetrainResponse acknowledges a retrain request.
 type RetrainResponse struct {
 	// Queued is set when the rebuild was scheduled asynchronously.
 	Queued bool `json:"queued"`
@@ -199,7 +211,7 @@ type RetrainResponse struct {
 	ModelVersion int `json:"model_version,omitempty"`
 }
 
-// ModelInfoResponse reports per-version metadata of the live model (v2).
+// ModelInfoResponse reports per-version metadata of the live model.
 type ModelInfoResponse struct {
 	Trained      bool   `json:"trained"`
 	ModelVersion int    `json:"model_version,omitempty"`
@@ -265,43 +277,87 @@ type HandoffResponse struct {
 
 // ErrorResponse carries a failure.
 type ErrorResponse struct {
-	// Code is one of the stable Code* constants (empty from v1 daemons).
+	// Code is one of the stable Code* constants.
 	Code    string `json:"code,omitempty"`
 	Message string `json:"message"`
 }
 
+// Error is an error reply received from a peer, as decoded by ReplyError.
+// Code is the stable code the reply carried (empty when its body could not
+// be decoded); pass it to RetryableCode to decide whether to retry.
+type Error struct {
+	Code    string
+	Message string
+}
+
+func (e *Error) Error() string {
+	if e.Code == "" {
+		return "peer error: " + e.Message
+	}
+	return fmt.Sprintf("peer error [%s]: %s", e.Code, e.Message)
+}
+
+// ReplyError returns the failure an error reply carries, as an *Error,
+// and nil when env is not an error reply.
+func ReplyError(env *Envelope) error {
+	if env.Type != TypeError {
+		return nil
+	}
+	var e ErrorResponse
+	if err := DecodeBody(env, &e); err != nil {
+		return &Error{Message: err.Error()}
+	}
+	return &Error{Code: e.Code, Message: e.Message}
+}
+
+// ErrorCode returns the stable code of the *Error in err's chain, or ""
+// when there is none (a transport failure, or nil).
+func ErrorCode(err error) string {
+	var e *Error
+	if errors.As(err, &e) {
+		return e.Code
+	}
+	return ""
+}
+
 // WriteEnvelope frames and sends one message: a 4-byte big-endian length
-// followed by the JSON envelope.
+// followed by the JSON envelope. The body is written byte for byte as it
+// is (after a validity check), so an envelope read and written again —
+// a router forwarding it — crosses unchanged.
 func WriteEnvelope(w io.Writer, env *Envelope) error {
-	payload, err := json.Marshal(env)
+	head := *env
+	head.Body = nil
+	header, err := json.Marshal(&head)
 	if err != nil {
 		return fmt.Errorf("proto: marshal envelope: %w", err)
 	}
-	if len(payload) > MaxMessageBytes {
-		return fmt.Errorf("proto: message of %d bytes exceeds limit", len(payload))
+	parts := [][]byte{header}
+	if len(env.Body) > 0 {
+		if !json.Valid(env.Body) {
+			return fmt.Errorf("proto: %s body is not valid JSON", env.Type)
+		}
+		// Reopen the header object: {...} becomes {...,"body":<body>}.
+		parts[0] = append(header[:len(header)-1], `,"body":`...)
+		parts = append(parts, env.Body, []byte("}"))
+	}
+	size := 0
+	for _, p := range parts {
+		size += len(p)
+	}
+	if size > MaxMessageBytes {
+		return fmt.Errorf("proto: message of %d bytes exceeds limit", size)
 	}
 	var prefix [4]byte
-	binary.BigEndian.PutUint32(prefix[:], uint32(len(payload)))
+	binary.BigEndian.PutUint32(prefix[:], uint32(size))
 	if _, err := w.Write(prefix[:]); err != nil {
 		return fmt.Errorf("proto: write length prefix: %w", err)
 	}
-	if _, err := w.Write(payload); err != nil {
-		return fmt.Errorf("proto: write payload: %w", err)
+	for _, p := range parts {
+		if _, err := w.Write(p); err != nil {
+			return fmt.Errorf("proto: write payload: %w", err)
+		}
 	}
 	return nil
-}
-
-// Write frames and sends one v1 message (no version or request ID).
-func Write(w io.Writer, msgType MsgType, body any) error {
-	var raw json.RawMessage
-	if body != nil {
-		b, err := json.Marshal(body)
-		if err != nil {
-			return fmt.Errorf("proto: marshal body: %w", err)
-		}
-		raw = b
-	}
-	return WriteEnvelope(w, &Envelope{Type: msgType, Body: raw})
 }
 
 // Read receives one framed message.
@@ -350,14 +406,6 @@ func NewConn(rw io.ReadWriter) *Conn {
 	return &Conn{r: bufio.NewReader(rw), w: bufio.NewWriter(rw)}
 }
 
-// Send writes a v1 message and flushes.
-func (c *Conn) Send(msgType MsgType, body any) error {
-	if err := Write(c.w, msgType, body); err != nil {
-		return err
-	}
-	return c.flush()
-}
-
 // SendEnvelope writes a prepared envelope and flushes.
 func (c *Conn) SendEnvelope(env *Envelope) error {
 	if err := WriteEnvelope(c.w, env); err != nil {
@@ -376,4 +424,22 @@ func (c *Conn) flush() error {
 // Receive reads the next message.
 func (c *Conn) Receive() (*Envelope, error) {
 	return Read(c.r)
+}
+
+// RoundTrip sends env, flushes, and reads the reply, failing unless the
+// reply echoes env's request ID. An error reply is returned as an
+// envelope, not an error; decode it with ReplyError. Any error leaves the
+// connection in an unknown state, so the caller should close it.
+func (c *Conn) RoundTrip(env *Envelope) (*Envelope, error) {
+	if err := c.SendEnvelope(env); err != nil {
+		return nil, err
+	}
+	resp, err := c.Receive()
+	if err != nil {
+		return nil, err
+	}
+	if resp.RequestID != env.RequestID {
+		return nil, fmt.Errorf("proto: reply to %s correlates to request %q, want %q", env.Type, resp.RequestID, env.RequestID)
+	}
+	return resp, nil
 }

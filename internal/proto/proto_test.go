@@ -3,7 +3,8 @@ package proto
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/json"
+	"errors"
+	"fmt"
 	"io"
 	"net"
 	"strings"
@@ -20,15 +21,19 @@ func TestWriteReadRoundTrip(t *testing.T) {
 		},
 		Retrain: true,
 	}
-	if err := Write(&buf, TypeEnrollRequest, req); err != nil {
-		t.Fatal(err)
-	}
-	env, err := Read(&buf)
+	env, err := NewEnvelope(TypeEnrollRequest, "r-1", req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if env.Type != TypeEnrollRequest {
-		t.Fatalf("type %q", env.Type)
+	if err := WriteEnvelope(&buf, env); err != nil {
+		t.Fatal(err)
+	}
+	env, err = Read(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if env.Type != TypeEnrollRequest || env.Version != Version || env.RequestID != "r-1" {
+		t.Fatalf("envelope %+v", env)
 	}
 	var back EnrollRequest
 	if err := DecodeBody(env, &back); err != nil {
@@ -44,10 +49,14 @@ func TestWriteReadRoundTrip(t *testing.T) {
 
 func TestWriteNilBody(t *testing.T) {
 	var buf bytes.Buffer
-	if err := Write(&buf, TypeStatusRequest, nil); err != nil {
+	env, err := NewEnvelope(TypeStatusRequest, "r-1", nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	env, err := Read(&buf)
+	if err := WriteEnvelope(&buf, env); err != nil {
+		t.Fatal(err)
+	}
+	env, err = Read(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +93,7 @@ func TestReadOversizedBoundary(t *testing.T) {
 
 	// A frame of exactly MaxMessageBytes must be read in full: a small
 	// envelope padded to the limit with JSON whitespace.
-	head := []byte(`{"type":"status"}`)
+	head := []byte(`{"version":2,"type":"status"}`)
 	payload := append(head, bytes.Repeat([]byte{' '}, MaxMessageBytes-len(head))...)
 	binary.BigEndian.PutUint32(prefix[:], uint32(len(payload)))
 	env, err := Read(io.MultiReader(bytes.NewReader(prefix[:]), bytes.NewReader(payload)))
@@ -100,11 +109,41 @@ func TestReadOversizedBoundary(t *testing.T) {
 // inflates the envelope past MaxMessageBytes never reaches the wire.
 func TestWriteRejectsOversized(t *testing.T) {
 	var sink countWriter
-	if err := Write(&sink, TypeError, strings.Repeat("a", MaxMessageBytes)); err == nil {
+	env, err := NewEnvelope(TypeError, "r-1", strings.Repeat("a", MaxMessageBytes))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteEnvelope(&sink, env); err == nil {
 		t.Error("oversized message written")
 	}
 	if sink.n != 0 {
 		t.Errorf("%d bytes leaked to the wire before the size check", sink.n)
+	}
+}
+
+// TestWriteEnvelopeKeepsBodyBytes pins what a forwarding router relies
+// on: a body read off the wire is written back byte for byte — no
+// compaction, no HTML escaping — and an invalid body is refused before
+// anything reaches the wire.
+func TestWriteEnvelopeKeepsBodyBytes(t *testing.T) {
+	body := []byte(`{ "message": "a<b && c>d",  "n": [1, 2] }`)
+	var buf bytes.Buffer
+	if err := WriteEnvelope(&buf, &Envelope{Version: Version, RequestID: "r-1", Type: TypeError, Body: body}); err != nil {
+		t.Fatal(err)
+	}
+	env, err := Read(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(env.Body, body) || env.RequestID != "r-1" || env.Type != TypeError {
+		t.Errorf("envelope came back as %+v with body %q", env, env.Body)
+	}
+	var sink countWriter
+	if err := WriteEnvelope(&sink, &Envelope{Type: TypeError, Body: []byte(`{"open":`)}); err == nil {
+		t.Error("invalid body written")
+	}
+	if sink.n != 0 {
+		t.Errorf("%d bytes of an invalid envelope reached the wire", sink.n)
 	}
 }
 
@@ -136,54 +175,41 @@ func TestReadTruncatedPayload(t *testing.T) {
 	}
 }
 
-// TestV1V2EnvelopeCompat round-trips both envelope generations: a v1
-// frame (no version or request_id keys on the wire) reads back with
-// Version 0, and a v2 frame preserves its version and correlation token.
-// v1 byte-compatibility is what lets old clients talk to a v2 daemon.
-func TestV1V2EnvelopeCompat(t *testing.T) {
-	// v1 sender → v2 reader.
-	var buf bytes.Buffer
-	if err := Write(&buf, TypeStatusRequest, nil); err != nil {
-		t.Fatal(err)
-	}
-	wire := buf.Bytes()[4:]
-	if bytes.Contains(wire, []byte("version")) || bytes.Contains(wire, []byte("request_id")) {
-		t.Errorf("v1 frame leaks v2 fields: %s", wire)
-	}
-	env, err := Read(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if env.Version != 0 || env.RequestID != "" {
-		t.Errorf("v1 frame decoded as %+v", env)
-	}
-
-	// A hand-built v1 frame, as the old protocol wrote it.
+// TestEnvelopeVersionCheck pins the one-dialect contract: framing still
+// reads an envelope of any version (a frame without a version key reads as
+// version 0), and CheckVersion, which servers run before dispatch, refuses
+// every version but Version with a message naming both.
+func TestEnvelopeVersionCheck(t *testing.T) {
 	legacy := []byte(`{"type":"authenticate","body":{"capture":{"beeps":[[[1]]],"sample_rate":48000}}}`)
 	var prefix [4]byte
 	binary.BigEndian.PutUint32(prefix[:], uint32(len(legacy)))
-	env, err = Read(io.MultiReader(bytes.NewReader(prefix[:]), bytes.NewReader(legacy)))
+	env, err := Read(io.MultiReader(bytes.NewReader(prefix[:]), bytes.NewReader(legacy)))
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("versionless frame rejected at framing layer: %v", err)
 	}
 	if env.Type != TypeAuthRequest || env.Version != 0 {
-		t.Errorf("legacy frame decoded as %+v", env)
+		t.Errorf("versionless frame decoded as %+v", env)
 	}
-	var req AuthRequest
-	if err := DecodeBody(env, &req); err != nil {
-		t.Fatal(err)
-	}
-	if req.Capture.SampleRate != 48000 {
-		t.Errorf("legacy body lost fields: %+v", req)
+	for _, v := range []int{0, 1, 3} {
+		err := CheckVersion(&Envelope{Version: v, Type: TypeStatusRequest})
+		if err == nil {
+			t.Errorf("version %d accepted", v)
+			continue
+		}
+		for _, want := range []string{fmt.Sprintf("version %d ", v), fmt.Sprintf("version %d", Version)} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("version %d refusal %q does not name %q", v, err, want)
+			}
+		}
 	}
 
-	// v2 sender → v2 reader: version and request ID survive.
-	buf.Reset()
-	v2, err := NewEnvelope(TypeRetrainRequest, "req-42", RetrainRequest{Wait: true})
+	// NewEnvelope stamps Version, which survives framing and passes.
+	var buf bytes.Buffer
+	out, err := NewEnvelope(TypeRetrainRequest, "req-42", RetrainRequest{Wait: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteEnvelope(&buf, v2); err != nil {
+	if err := WriteEnvelope(&buf, out); err != nil {
 		t.Fatal(err)
 	}
 	env, err = Read(&buf)
@@ -191,38 +217,16 @@ func TestV1V2EnvelopeCompat(t *testing.T) {
 		t.Fatal(err)
 	}
 	if env.Version != Version || env.RequestID != "req-42" || env.Type != TypeRetrainRequest {
-		t.Errorf("v2 frame decoded as %+v", env)
+		t.Errorf("frame decoded as %+v", env)
 	}
-	var rt RetrainRequest
-	if err := DecodeBody(env, &rt); err != nil {
-		t.Fatal(err)
-	}
-	if !rt.Wait {
-		t.Error("v2 body lost fields")
-	}
-
-	// A v1 reader (ignoring unknown keys, as encoding/json does) still
-	// understands a v2 frame.
-	var v1View struct {
-		Type MsgType         `json:"type"`
-		Body json.RawMessage `json:"body"`
-	}
-	raw, err := json.Marshal(v2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(raw, &v1View); err != nil {
-		t.Fatal(err)
-	}
-	if v1View.Type != TypeRetrainRequest {
-		t.Errorf("v1 view of v2 frame: %+v", v1View)
+	if err := CheckVersion(env); err != nil {
+		t.Errorf("current version refused: %v", err)
 	}
 }
 
-// TestRouteHintCompat pins the envelope routing hint: a zero User keeps
-// frames byte-identical to pre-router v2 (and v1) wire format, a set
-// User round-trips, and the hint never leaks into response shaping —
-// it is a request-side field the router consumes and daemons ignore.
+// TestRouteHintCompat pins the envelope routing hint: a zero User puts no
+// "user" key on the wire, and a set User round-trips with the body
+// untouched.
 func TestRouteHintCompat(t *testing.T) {
 	// Unrouted v2 frame: no "user" key on the wire.
 	var buf bytes.Buffer
@@ -268,10 +272,14 @@ func TestRouteHintCompat(t *testing.T) {
 // daemon's job (answered in-band with CodeUnknownType), not the codec's.
 func TestUnknownTypePassesFraming(t *testing.T) {
 	var buf bytes.Buffer
-	if err := Write(&buf, MsgType("hologram"), nil); err != nil {
+	env, err := NewEnvelope(MsgType("hologram"), "r-1", nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	env, err := Read(&buf)
+	if err := WriteEnvelope(&buf, env); err != nil {
+		t.Fatal(err)
+	}
+	env, err = Read(&buf)
 	if err != nil {
 		t.Fatalf("unknown type rejected at framing layer: %v", err)
 	}
@@ -298,18 +306,26 @@ func TestConnOverPipe(t *testing.T) {
 			done <- err
 			return
 		}
-		done <- pc.Send(TypeAuthResponse, AuthResponse{Accepted: true, UserID: 3})
+		resp, err := NewEnvelope(TypeAuthResponse, env.RequestID, AuthResponse{Accepted: true, UserID: 3})
+		if err != nil {
+			done <- err
+			return
+		}
+		done <- pc.SendEnvelope(resp)
 	}()
 
-	pc := NewConn(client)
-	if err := pc.Send(TypeAuthRequest, AuthRequest{
+	req, err := NewEnvelope(TypeAuthRequest, "r-7", AuthRequest{
 		Capture: CaptureWire{Beeps: [][][]float64{{{1}}}, SampleRate: 48000},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	env, err := pc.Receive()
+	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	env, err := NewConn(client).RoundTrip(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ReplyError(env); err != nil {
+		t.Fatalf("success reply decoded as error: %v", err)
 	}
 	var resp AuthResponse
 	if err := DecodeBody(env, &resp); err != nil {
@@ -317,6 +333,86 @@ func TestConnOverPipe(t *testing.T) {
 	}
 	if !resp.Accepted || resp.UserID != 3 {
 		t.Errorf("response %+v", resp)
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+}
+
+// replyWith answers one request on the server end of a pipe with a reply
+// built from the request.
+func replyWith(t *testing.T, server net.Conn, build func(req *Envelope) *Envelope) <-chan error {
+	t.Helper()
+	done := make(chan error, 1)
+	go func() {
+		pc := NewConn(server)
+		req, err := pc.Receive()
+		if err != nil {
+			done <- err
+			return
+		}
+		done <- pc.SendEnvelope(build(req))
+	}()
+	return done
+}
+
+// TestRoundTripRejectsMismatchedRequestID checks the echo contract: a
+// reply correlated to another request is an error, not a result.
+func TestRoundTripRejectsMismatchedRequestID(t *testing.T) {
+	client, server := net.Pipe()
+	defer client.Close()
+	defer server.Close()
+	done := replyWith(t, server, func(req *Envelope) *Envelope {
+		return &Envelope{Version: Version, RequestID: req.RequestID + "-other", Type: TypeStatusResponse, Body: []byte(`{}`)}
+	})
+	req, err := NewEnvelope(TypeStatusRequest, "r-1", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := NewConn(client).RoundTrip(req)
+	if err == nil || !strings.Contains(err.Error(), `"r-1-other"`) {
+		t.Fatalf("mismatched echo gave reply %+v, error %v", resp, err)
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestReplyErrorCarriesCode checks the typed error: an error reply decodes
+// to an *Error with its stable code, which RetryableCode classifies; a
+// transport error and a success reply carry no code.
+func TestReplyErrorCarriesCode(t *testing.T) {
+	client, server := net.Pipe()
+	defer client.Close()
+	defer server.Close()
+	done := replyWith(t, server, func(req *Envelope) *Envelope {
+		env, _ := NewEnvelope(TypeError, req.RequestID, ErrorResponse{Code: CodeOverloaded, Message: "shed"})
+		return env
+	})
+	req, err := NewEnvelope(TypeAuthRequest, "r-2", AuthRequest{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := NewConn(client).RoundTrip(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rerr := ReplyError(resp)
+	var pe *Error
+	if !errors.As(rerr, &pe) || pe.Code != CodeOverloaded || pe.Message != "shed" {
+		t.Fatalf("error reply decoded as %#v", rerr)
+	}
+	if code := ErrorCode(fmt.Errorf("wrapped: %w", rerr)); !RetryableCode(code) {
+		t.Errorf("wrapped overloaded reply gave code %q", code)
+	}
+	if code := ErrorCode(io.ErrUnexpectedEOF); code != "" {
+		t.Errorf("transport error gave code %q", code)
+	}
+	if err := ReplyError(&Envelope{Type: TypeStatusResponse}); err != nil {
+		t.Errorf("success reply decoded as %v", err)
+	}
+	if code := ErrorCode(ReplyError(&Envelope{Type: TypeError})); code != "" || RetryableCode(code) {
+		t.Errorf("undecodable error reply gave code %q", code)
 	}
 	if err := <-done; err != nil {
 		t.Fatal(err)

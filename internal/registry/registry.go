@@ -308,9 +308,9 @@ func (r *Registry) requestRetrainLocked() {
 }
 
 // Retrain queues a retrain and blocks until a training run covering the
-// current enrollment generation completes, returning its error. This is
-// the v1 synchronous semantics; the train itself still runs on the worker
-// so concurrent authentications are never stalled. A caller abandoning
+// current enrollment generation completes, returning its error. It serves
+// retrain requests with wait set; the train itself still runs on the
+// worker so concurrent authentications are never stalled. A caller abandoning
 // the wait (ctx cancelled) deregisters its waiter, so expired callers
 // cannot accumulate in the registry.
 func (r *Registry) Retrain(ctx context.Context) error {
