@@ -35,15 +35,6 @@ import (
 	"strconv"
 	"strings"
 	"time"
-
-	"echoimage/internal/benchfmt"
-)
-
-// The report types live in internal/benchfmt.
-type (
-	Report    = benchfmt.Report
-	Run       = benchfmt.Run
-	Benchmark = benchfmt.Benchmark
 )
 
 func main() {
@@ -82,7 +73,7 @@ func run() error {
 
 	rep := Report{}
 	if *appendRun {
-		if loaded, err := benchfmt.Read(*out); err == nil {
+		if loaded, err := readReport(*out); err == nil {
 			rep = *loaded
 		} else if !os.IsNotExist(err) {
 			return err
@@ -189,7 +180,7 @@ const gateNsFloor = 50e6
 // regressions (gated only after confirmNsRegressions reproduces them), and
 // the baseline map for that confirmation pass.
 func diffAgainst(path, runLabel string, benches []Benchmark) (int, []string, map[string]Benchmark, error) {
-	prevRep, err := benchfmt.Read(path)
+	prevRep, err := readReport(path)
 	if err != nil {
 		return 0, nil, nil, fmt.Errorf("read previous report: %w", err)
 	}

@@ -169,11 +169,8 @@ func run() error {
 			if resp.Extended {
 				origin = "extended"
 			}
-			fmt.Printf("model v%d (%s): %d users, %d images, trained in %d ms at %s\n",
-				resp.ModelVersion, origin, resp.Users, resp.Images, resp.TrainMillis, resp.TrainedAt)
-			if resp.IdentifyMode != "" {
-				fmt.Printf("identification: %s (%d indexed vectors)\n", resp.IdentifyMode, resp.IndexSize)
-			}
+			fmt.Printf("model v%d (%s): %d users, %d images, %d indexed vectors, trained in %d ms at %s\n",
+				resp.ModelVersion, origin, resp.Users, resp.Images, resp.IndexSize, resp.TrainMillis, resp.TrainedAt)
 		}
 		if resp.Degraded {
 			fmt.Println("DEGRADED: view excludes unreachable shards")

@@ -105,7 +105,6 @@ func DefaultSuite() []Analyzer {
 				"echoimage/internal/telemetry": {},
 				"echoimage/internal/faultnet":  {},
 				"echoimage/internal/retry":     {},
-				"echoimage/internal/benchfmt":  {},
 				"echoimage/internal/registry": {AllowedProject: []string{
 					"echoimage/internal/core",
 					"echoimage/internal/telemetry",

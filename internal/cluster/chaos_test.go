@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"net"
 	"sync"
 	"testing"
@@ -85,6 +86,105 @@ func TestChaosUpstreamStall(t *testing.T) {
 	}
 	if r.met.failovers.Value() == 0 {
 		t.Error("stall did not register as a failover")
+	}
+}
+
+// silentShard starts a shard that reads each request and answers none
+// until release is called (at the latest when the test ends); the
+// handlers then drop their connections. The returned channel receives
+// once per request.
+func silentShard(t *testing.T) (f *fakeShard, seen <-chan proto.MsgType, release func()) {
+	unblock := make(chan struct{})
+	var once sync.Once
+	release = func() { once.Do(func() { close(unblock) }) }
+	got := make(chan proto.MsgType, 16)
+	f = newFakeShard(t, func(env *proto.Envelope) *proto.Envelope {
+		select {
+		case got <- env.Type:
+		default:
+		}
+		<-unblock
+		return nil
+	})
+	// Cleanups run last-registered first: unblock the handlers before the
+	// shard waits for them.
+	t.Cleanup(release)
+	return f, got, release
+}
+
+// TestServeReturnsDespiteSilentShard: with the zero Options (no upstream
+// timeout), a shard that accepts a request and never answers must not
+// keep Serve from returning once its context is cancelled.
+func TestServeReturnsDespiteSilentShard(t *testing.T) {
+	r := New(Options{})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	served := make(chan struct{})
+	t.Cleanup(func() {
+		cancel()
+		<-served
+		r.Close()
+	})
+	f, seen, _ := silentShard(t)
+	if err := r.AddShard("s0", f.addr(), ""); err != nil {
+		t.Fatal(err)
+	}
+	go func() {
+		r.Serve(ctx, ln)
+		close(served)
+	}()
+
+	c := dialRouter(t, ln.Addr().String())
+	env, err := proto.NewEnvelope(proto.TypeAuthRequest, "silent-1", proto.AuthRequest{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	env.User = 1
+	if err := c.pc.SendEnvelope(env); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-seen:
+	case <-time.After(5 * time.Second):
+		t.Fatal("shard never received the request")
+	}
+	cancel()
+	select {
+	case <-served:
+	case <-time.After(2 * time.Second):
+		t.Fatal("Serve still blocked 2s after cancellation, waiting on a silent shard")
+	}
+}
+
+// TestCloseReturnsDespiteSilentShard: a drain handoff whose source shard
+// never answers must not keep Close (which awaits handoff pipelines) from
+// returning under the zero Options.
+func TestCloseReturnsDespiteSilentShard(t *testing.T) {
+	f, seen, release := silentShard(t)
+	r, _ := startRouter(t, Options{}, f)
+	// Should Close hang, unblock the shard before the router's own cleanup
+	// closes it again, so a failing run ends instead of hanging.
+	t.Cleanup(release)
+	if err := r.DrainShard("s0"); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-seen:
+	case <-time.After(5 * time.Second):
+		t.Fatal("shard never received the handoff scan")
+	}
+	closed := make(chan struct{})
+	go func() {
+		r.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(2 * time.Second):
+		t.Fatal("Close still blocked after 2s, waiting on a handoff to a silent shard")
 	}
 }
 

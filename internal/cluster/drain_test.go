@@ -264,21 +264,33 @@ func TestChaosDrainRemoveLossless(t *testing.T) {
 // TestCloseAwaitsHandoffPipeline pins the router's shutdown contract:
 // Close must wait for running drain handoff pipelines, not just cancel
 // them — a cancelled-but-still-running pipeline touching the shard
-// table or pools after Close returns is a use-after-close.
+// table or pools after Close returns is a use-after-close. Cancellation
+// interrupts the pipeline's stalled shard call at once, so the pipeline
+// is held instead on its way out, in its failure log line.
 func TestCloseAwaitsHandoffPipeline(t *testing.T) {
 	st := newShardState()
 	scanStarted := make(chan struct{})
 	release := make(chan struct{})
-	var once sync.Once
+	var scanOnce sync.Once
 	blocking := func(env *proto.Envelope) *proto.Envelope {
 		if env.Type == proto.TypeStatusRequest && strings.HasPrefix(env.RequestID, "ho-") {
-			once.Do(func() { close(scanStarted) })
+			scanOnce.Do(func() { close(scanStarted) })
 			<-release
 		}
 		return st.handler(env)
 	}
+	exiting := make(chan struct{})
+	unblockExit := make(chan struct{})
+	var exitOnce sync.Once
+	logf := func(format string, _ ...any) {
+		if strings.Contains(format, "handoff failed") {
+			exitOnce.Do(func() { close(exiting) })
+			<-unblockExit
+		}
+	}
 	f := newFakeShard(t, blocking)
-	r, _ := startRouter(t, Options{Retry: fastRetry}, f)
+	r, _ := startRouter(t, Options{Retry: fastRetry, Logf: logf}, f)
+	t.Cleanup(func() { close(release) })
 
 	if err := r.DrainShard("s0"); err != nil {
 		t.Fatal(err)
@@ -291,12 +303,18 @@ func TestCloseAwaitsHandoffPipeline(t *testing.T) {
 		close(closed)
 	}()
 	select {
+	case <-exiting:
+	case <-time.After(10 * time.Second):
+		close(unblockExit)
+		t.Fatal("cancelled handoff pipeline never reached its exit path")
+	}
+	select {
 	case <-closed:
 		t.Fatal("Close returned while a handoff pipeline was still in flight")
 	case <-time.After(50 * time.Millisecond):
 	}
 
-	close(release)
+	close(unblockExit)
 	select {
 	case <-closed:
 	case <-time.After(10 * time.Second):

@@ -87,9 +87,6 @@ type Router struct {
 	// a cancelled-but-still-running pipeline touching the shard table
 	// after teardown is a use-after-close.
 	hoWg sync.WaitGroup
-
-	connMu sync.Mutex
-	conns  map[net.Conn]struct{} // guarded by connMu
 }
 
 // New builds a router over an empty shard table; register shards with
@@ -120,7 +117,6 @@ func New(opts Options) *Router {
 		met:      newRouterMetrics(tel),
 		pools:    make(map[string]*pool),
 		handoffs: make(map[string]*Handoff),
-		conns:    make(map[net.Conn]struct{}),
 	}
 	//echoimage:lint-ignore ctxdiscipline drain handoffs are rooted at the router's lifetime, not a request: they outlive the admin POST that starts them and stop on Close
 	r.lifeCtx, r.stop = context.WithCancel(context.Background())
@@ -528,7 +524,7 @@ func (r *Router) roundTripTimeout(ctx context.Context, shard *Shard, env *proto.
 	if err != nil {
 		return nil, err
 	}
-	resp, err := r.exchange(p, u, shard, env, timeout)
+	resp, err := r.exchange(ctx, p, u, shard, env, timeout)
 	var re *routeError
 	if err != nil && reused && !errors.As(err, &re) && ctx.Err() == nil {
 		r.met.redials.Inc()
@@ -536,7 +532,7 @@ func (r *Router) roundTripTimeout(ctx context.Context, shard *Shard, env *proto.
 		if derr != nil {
 			return nil, err // the shard is unreachable; report the original failure
 		}
-		resp, err = r.exchange(p, u2, shard, env, timeout)
+		resp, err = r.exchange(ctx, p, u2, shard, env, timeout)
 	}
 	return resp, err
 }
@@ -544,20 +540,29 @@ func (r *Router) roundTripTimeout(ctx context.Context, shard *Shard, env *proto.
 // exchange runs one round trip on a checked-out upstream: returned to the
 // pool on clean completion, retired on any transport error — including a
 // reply that does not echo the request ID, after which the connection's
-// framing cannot be trusted.
-func (r *Router) exchange(p *pool, u *upstream, shard *Shard, env *proto.Envelope, timeout time.Duration) (*proto.Envelope, error) {
+// framing cannot be trusted. Cancelling ctx expires the connection's
+// deadline, so a shard that accepts a request and never answers cannot
+// pin the caller (Serve's shutdown, Close's handoff wait) even when no
+// timeout is set.
+func (r *Router) exchange(ctx context.Context, p *pool, u *upstream, shard *Shard, env *proto.Envelope, timeout time.Duration) (*proto.Envelope, error) {
 	start := time.Now()
 	if timeout > 0 {
 		u.conn.SetDeadline(time.Now().Add(timeout))
 	}
+	stop := context.AfterFunc(ctx, func() { u.conn.SetDeadline(time.Now()) })
 	r.met.shardRequestCounter(shard.ID).Inc()
 	resp, err := u.pc.RoundTrip(env)
+	expired := !stop()
 	r.met.shardLatencyHist(shard.ID).ObserveDuration(time.Since(start))
 	if err != nil {
 		u.close()
 		return nil, fmt.Errorf("cluster: round trip to shard %s: %w", shard.ID, err)
 	}
-	p.put(u)
+	if expired {
+		u.close() // its deadline is already in the past
+	} else {
+		p.put(u)
+	}
 	if code := proto.ErrorCode(proto.ReplyError(resp)); proto.RetryableCode(code) {
 		return nil, coded(code, fmt.Errorf("shard %s refused: %s", shard.ID, code))
 	}
@@ -716,11 +721,6 @@ func (r *Router) aggregate(req *proto.Envelope, resps []*proto.Envelope, degrade
 			}
 			if mi.TrainedAt > agg.TrainedAt {
 				agg.TrainedAt = mi.TrainedAt
-			}
-			if agg.IdentifyMode == "" {
-				agg.IdentifyMode = mi.IdentifyMode
-			} else if agg.IdentifyMode != mi.IdentifyMode {
-				agg.IdentifyMode = "mixed"
 			}
 			agg.Loaded = agg.Loaded || mi.Loaded
 			agg.Extended = agg.Extended || mi.Extended

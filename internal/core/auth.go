@@ -14,69 +14,26 @@ import (
 	"echoimage/internal/svm"
 )
 
-// IdentifyMode selects the identification engine.
-type IdentifyMode string
-
+// Identification constants. Every trained bin carries an embedding set
+// and an HNSW index (index.Config defaults) over it; identification
+// shortlists candidates from the index, re-ranks them and gates the
+// winner with SVDD.
 const (
-	// IdentifyANN is the sublinear default: project the whitened feature
-	// vector into the shared embedding space, shortlist candidate users
-	// from an HNSW index over the enrollment embeddings, re-rank the
-	// shortlist (by one-vs-one SVM margin when available, accumulated
-	// cosine similarity otherwise), and gate with SVDD.
-	IdentifyANN IdentifyMode = "ann"
-	// IdentifyExhaustive is the paper's reference path: the full
-	// one-vs-one SVM vote over every registered user — O(n²) decisions
-	// per image. Kept for the auth-stack ablation and as the oracle the
-	// ANN engine is tested against.
-	IdentifyExhaustive IdentifyMode = "exhaustive"
-)
-
-// IdentifyConfig parameterizes identification. The zero value means the
-// ANN engine with the defaults below.
-type IdentifyConfig struct {
-	// Mode picks the engine; empty means IdentifyANN.
-	Mode IdentifyMode
-	// Shortlist is how many nearest enrollment embeddings the ANN lookup
-	// returns; the distinct user labels among them are the candidate set.
-	// 0 means 16.
-	Shortlist int
-	// Index tunes the HNSW graph (zero fields take index defaults).
-	Index index.Config
-	// MaxSVMUsers bounds the per-bin user count for which the one-vs-one
+	// shortlistSize is how many nearest enrollment embeddings the ANN
+	// lookup returns; the distinct user labels among them are the
+	// candidate set.
+	shortlistSize = 16
+	// maxSVMUsers bounds the per-bin user count for which the one-vs-one
 	// margin re-ranker is trained. Beyond it — where O(n²) pair training
 	// stops scaling — shortlisted candidates are ranked by accumulated
-	// cosine similarity alone. 0 means 64.
-	MaxSVMUsers int
-}
-
-// DefaultShortlist is the ANN shortlist size when IdentifyConfig.Shortlist
-// is zero.
-const DefaultShortlist = 16
-
-// DefaultMaxSVMUsers is the per-bin user bound for the SVM re-ranker when
-// IdentifyConfig.MaxSVMUsers is zero.
-const DefaultMaxSVMUsers = 64
-
-func (c IdentifyConfig) mode() IdentifyMode {
-	if c.Mode == IdentifyExhaustive {
-		return IdentifyExhaustive
-	}
-	return IdentifyANN
-}
-
-func (c IdentifyConfig) shortlist() int {
-	if c.Shortlist > 0 {
-		return c.Shortlist
-	}
-	return DefaultShortlist
-}
-
-func (c IdentifyConfig) maxSVMUsers() int {
-	if c.MaxSVMUsers > 0 {
-		return c.MaxSVMUsers
-	}
-	return DefaultMaxSVMUsers
-}
+	// cosine similarity alone.
+	maxSVMUsers = 64
+	// planeBinWidth groups enrollment images by imaging-plane distance. An
+	// acoustic image's geometry (ring structure) is a function of its
+	// plane distance, so models are conditioned per bin; comparing images
+	// across bins conflates geometry with identity.
+	planeBinWidth = 0.1
+)
 
 // AuthConfig parameterizes the user-authentication component (§V-D/E):
 // the frozen feature extractor, the SVDD spoofer gate and identification.
@@ -87,21 +44,6 @@ type AuthConfig struct {
 	SVC svm.SVCConfig
 	// SVDD configures the one-class spoofer gate.
 	SVDD svm.SVDDConfig
-	// Identify selects and tunes the identification engine: the shared
-	// embedding space + ANN index by default, the paper's exhaustive
-	// one-vs-one SVM scan as the reference/fallback.
-	Identify IdentifyConfig
-	// Gamma is the RBF kernel width; 0 calibrates it per plane bin from
-	// the supervised within-class distances of the enrollment set.
-	Gamma float64
-	// GammaWithinFactor scales the calibrated gamma: gamma =
-	// factor / mean(within-class ‖a−b‖²). 0 means 1.
-	GammaWithinFactor float64
-	// BinWidthM groups enrollment images by imaging-plane distance. An
-	// acoustic image's geometry (ring structure) is a function of its
-	// plane distance, so models are conditioned per bin; comparing images
-	// across bins conflates geometry with identity. 0 means 0.1 m.
-	BinWidthM float64
 	// WhitenDirections is the number of within-class nuisance directions
 	// suppressed by WCCN before classification; 0 (the default) disables
 	// whitening, which empirically serves this feature space best — the
@@ -144,7 +86,7 @@ type binModel struct {
 	whiten   *Whitener
 	gate     *svm.SVDD         // pooled gate over every user in the bin
 	userGate map[int]*svm.SVDD // per-user verification spheres
-	identify *svm.MultiClass   // margin re-ranker; nil above MaxSVMUsers or single-user
+	identify *svm.MultiClass   // margin re-ranker; nil above maxSVMUsers or single-user
 	users    []int
 	gamma    float64      // fitted RBF width; extension reuses it
 	embeds   *embed.Set   // enrollment embeddings, row ID = user label
@@ -154,8 +96,7 @@ type binModel struct {
 // Authenticator is the trained §V-E classifier stack, conditioned on the
 // imaging-plane distance bin. In the single-user scenario only the SVDD
 // gate exists per bin; with n ≥ 2 users identification shortlists
-// candidates from the embedding index (or scans the one-vs-one SVM in
-// exhaustive mode) and the gate verifies the winner.
+// candidates from the embedding index and the gate verifies the winner.
 type Authenticator struct {
 	extractor *features.Extractor
 	featCfg   features.Config
@@ -187,11 +128,6 @@ func TrainAuthenticator(ctx context.Context, cfg AuthConfig, enrollment map[int]
 	if err != nil {
 		return nil, fmt.Errorf("core: build extractor: %w", err)
 	}
-	binWidth := cfg.BinWidthM
-	if binWidth <= 0 {
-		binWidth = 0.1
-	}
-
 	users := make([]int, 0, len(enrollment))
 	for id := range enrollment {
 		if id <= 0 {
@@ -218,7 +154,7 @@ func TrainAuthenticator(ctx context.Context, cfg AuthConfig, enrollment map[int]
 			if img == nil || img.Image == nil {
 				return nil, fmt.Errorf("core: user %d has a nil enrollment image", id)
 			}
-			bin := int(math.Round(img.PlaneDistM / binWidth))
+			bin := int(math.Round(img.PlaneDistM / planeBinWidth))
 			bd := binSets[bin]
 			if bd == nil {
 				bd = &binData{}
@@ -234,7 +170,7 @@ func TrainAuthenticator(ctx context.Context, cfg AuthConfig, enrollment map[int]
 		featCfg:   cfg.Features,
 		cfg:       cfg,
 		bins:      make(map[int]*binModel, len(binSets)),
-		binWidth:  binWidth,
+		binWidth:  planeBinWidth,
 		users:     users,
 	}
 	for bin, bd := range binSets {
@@ -251,9 +187,9 @@ func TrainAuthenticator(ctx context.Context, cfg AuthConfig, enrollment map[int]
 }
 
 // fitBinModel trains the full classifier stack of one plane-distance bin:
-// optional WCCN whitener, embedding set + ANN index (ANN mode), the SVDD
-// gates and, when the user count allows, the one-vs-one SVM. Shared by
-// the full train and by ExtendContext for bins a new user opens.
+// optional WCCN whitener, embedding set + ANN index, the SVDD gates and,
+// when the user count allows, the one-vs-one SVM. Shared by the full
+// train and by ExtendContext for bins a new user opens.
 func fitBinModel(cfg AuthConfig, x [][]float64, labels []int) (*binModel, error) {
 	bm := &binModel{users: distinctLabels(labels)}
 	if cfg.WhitenDirections > 0 {
@@ -268,12 +204,8 @@ func fitBinModel(cfg AuthConfig, x [][]float64, labels []int) (*binModel, error)
 		}
 		x = wx
 	}
-	gamma := cfg.Gamma
-	if gamma <= 0 {
-		gamma = calibrateGamma(x, labels, cfg.GammaWithinFactor)
-	}
-	bm.gamma = gamma
-	kernel := svm.RBF{Gamma: gamma}
+	bm.gamma = calibrateGamma(x, labels)
+	kernel := svm.RBF{Gamma: bm.gamma}
 	gate, err := svm.TrainSVDD(kernel, x, cfg.SVDD)
 	if err != nil {
 		return nil, fmt.Errorf("train SVDD gate: %w", err)
@@ -298,13 +230,10 @@ func fitBinModel(cfg AuthConfig, x [][]float64, labels []int) (*binModel, error)
 			bm.userGate[id] = ug
 		}
 	}
-	ann := cfg.Identify.mode() == IdentifyANN
-	if ann {
-		if err := bm.buildIndex(cfg.Identify.Index, x, labels); err != nil {
-			return nil, err
-		}
+	if err := bm.buildIndex(x, labels); err != nil {
+		return nil, err
 	}
-	if len(bm.users) > 1 && (!ann || len(bm.users) <= cfg.Identify.maxSVMUsers()) {
+	if len(bm.users) > 1 && len(bm.users) <= maxSVMUsers {
 		mc, err := svm.TrainMultiClass(kernel, x, labels, cfg.SVC)
 		if err != nil {
 			return nil, fmt.Errorf("train identification SVM: %w", err)
@@ -318,7 +247,7 @@ func fitBinModel(cfg AuthConfig, x [][]float64, labels []int) (*binModel, error)
 // space and indexes them. Row order follows the training order — users
 // ascending, then their images in enrollment order — so construction is
 // deterministic.
-func (bm *binModel) buildIndex(icfg index.Config, x [][]float64, labels []int) error {
+func (bm *binModel) buildIndex(x [][]float64, labels []int) error {
 	if len(x) == 0 {
 		return fmt.Errorf("no vectors to index")
 	}
@@ -327,7 +256,7 @@ func (bm *binModel) buildIndex(icfg index.Config, x [][]float64, labels []int) e
 	if err != nil {
 		return fmt.Errorf("embedding set: %w", err)
 	}
-	ann, err := index.New(dim, icfg)
+	ann, err := index.New(dim, index.Config{})
 	if err != nil {
 		return fmt.Errorf("ANN index: %w", err)
 	}
@@ -346,13 +275,10 @@ func (bm *binModel) buildIndex(icfg index.Config, x [][]float64, labels []int) e
 }
 
 // calibrateGamma sets the RBF width from the supervised within-class
-// spread: gamma = factor / mean(within-class squared distance). This puts
+// spread: gamma = 1 / mean(within-class squared distance). This puts
 // same-user kernel values near e^-1 while samples a few within-class radii
 // away (other users, spoofers) decay toward zero.
-func calibrateGamma(xs [][]float64, labels []int, factor float64) float64 {
-	if factor <= 0 {
-		factor = 1
-	}
+func calibrateGamma(xs [][]float64, labels []int) float64 {
 	var sum float64
 	var n int
 	for i := range xs {
@@ -372,7 +298,7 @@ func calibrateGamma(xs [][]float64, labels []int, factor float64) float64 {
 	if n == 0 || sum <= 0 {
 		return svm.GammaScale(xs)
 	}
-	return factor * float64(n) / sum
+	return float64(n) / sum
 }
 
 func distinctLabels(labels []int) []int {
@@ -409,26 +335,12 @@ func (a *Authenticator) Bins() []int {
 // want to cache features).
 func (a *Authenticator) Extractor() *features.Extractor { return a.extractor }
 
-// IdentifyMode reports the identification engine this model serves with:
-// IdentifyANN when the embedding index exists, IdentifyExhaustive
-// otherwise (exhaustive-mode trains).
-func (a *Authenticator) IdentifyMode() IdentifyMode {
-	for _, bm := range a.bins {
-		if bm.ann != nil {
-			return IdentifyANN
-		}
-	}
-	return IdentifyExhaustive
-}
-
 // IndexSize returns the total number of enrollment embeddings indexed
-// across all plane bins (0 in exhaustive mode).
+// across all plane bins.
 func (a *Authenticator) IndexSize() int {
 	var n int
 	for _, bm := range a.bins {
-		if bm.ann != nil {
-			n += bm.ann.Len()
-		}
+		n += bm.ann.Len()
 	}
 	return n
 }
@@ -475,18 +387,18 @@ func (a *Authenticator) Authenticate(img *AcousticImage) AuthResult {
 }
 
 // Shortlist returns the distinct candidate user IDs among the k nearest
-// enrollment embeddings for one image (k ≤ 0 uses the configured
-// shortlist size), nearest first. It returns nil when the image's bin has
-// no ANN index (exhaustive mode or out-of-range distance). Exposed for
+// enrollment embeddings for one image (k ≤ 0 uses the serving shortlist
+// size), nearest first. It returns nil when no bin covers the image's
+// plane distance. Exposed for
 // recall evaluation and for continuous-authentication callers that fuse
 // their own evidence over candidates.
 func (a *Authenticator) Shortlist(img *AcousticImage, k int) []int {
 	bm, _ := a.binFor(img)
-	if bm == nil || bm.ann == nil {
+	if bm == nil {
 		return nil
 	}
 	if k <= 0 {
-		k = a.cfg.Identify.shortlist()
+		k = shortlistSize
 	}
 	sc := a.getScratch()
 	defer a.scratch.Put(sc)
@@ -519,7 +431,7 @@ func (a *Authenticator) getScratch() *authScratch {
 
 // authenticate is the single-image decision with optional stage timing:
 // a non-nil recorder receives the feature-extraction (incl. whitening),
-// index-search (ANN mode) and re-rank+gate durations.
+// index-search (multi-user bins) and re-rank+gate durations.
 func (a *Authenticator) authenticate(img *AcousticImage, rec StageRecorder) AuthResult {
 	bm, bin := a.binFor(img)
 	if bm == nil {
@@ -541,34 +453,34 @@ func (a *Authenticator) authenticate(img *AcousticImage, rec StageRecorder) Auth
 		rec.RecordStage(StageFeatures, now.Sub(mark))
 		mark = now
 	}
-	// Identify first, then verify against the identified user's own
-	// sphere when per-user gates exist; otherwise (or when the user has
-	// too little bin data) the pooled sphere decides.
 	candidate := bm.users[0]
 	if len(bm.users) > 1 {
-		if bm.ann != nil {
-			sc.q = embed.Project(sc.q, x)
-			res := bm.ann.Search(sc.q, a.cfg.Identify.shortlist())
-			if rec != nil {
-				now := time.Now()
-				rec.RecordStage(StageIndexSearch, now.Sub(mark))
-				mark = now
-			}
-			candidate = bm.rerank(x, res)
-		} else if bm.identify != nil {
-			candidate = bm.identify.Predict(x)
+		sc.q = embed.Project(sc.q, x)
+		res := bm.ann.Search(sc.q, shortlistSize)
+		if rec != nil {
+			now := time.Now()
+			rec.RecordStage(StageIndexSearch, now.Sub(mark))
+			mark = now
 		}
+		candidate = bm.rerank(x, res)
 	}
+	out := bm.verify(x, candidate, bin)
+	if rec != nil {
+		rec.RecordStage(StageClassify, time.Since(mark))
+	}
+	return out
+}
+
+// verify gates the identified candidate: against the candidate's own
+// sphere when per-user gates exist, otherwise (or when the user has too
+// little bin data) against the pooled sphere.
+func (bm *binModel) verify(x []float64, candidate, bin int) AuthResult {
 	gate := bm.gate
 	if ug, ok := bm.userGate[candidate]; ok {
 		gate = ug
 	}
 	score := gate.Score(x)
-	accepted := gate.Accept(x)
-	if rec != nil {
-		rec.RecordStage(StageClassify, time.Since(mark))
-	}
-	if !accepted {
+	if !gate.Accept(x) {
 		return AuthResult{Accepted: false, GateScore: score, Bin: bin}
 	}
 	return AuthResult{Accepted: true, UserID: candidate, GateScore: score, Bin: bin}
@@ -610,8 +522,8 @@ func (bm *binModel) rerank(x []float64, res []index.Result) int {
 // capture (one image per beep): the sample is accepted when a strict
 // majority of images pass the gate, and the identified user is the modal
 // identity among accepted images. A non-nil recorder receives one
-// features span, one index-search span (ANN mode) and one classify span
-// per image; a nil recorder adds no work.
+// features span, one index-search span (multi-user bins) and one classify
+// span per image; a nil recorder adds no work.
 func (a *Authenticator) AuthenticateMajorityRecorded(imgs []*AcousticImage, rec StageRecorder) (AuthResult, error) {
 	if len(imgs) == 0 {
 		return AuthResult{}, fmt.Errorf("core: no images to authenticate")

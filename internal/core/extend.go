@@ -11,18 +11,17 @@ import (
 )
 
 // CanExtend reports whether this model supports incremental extension
-// with new users (ExtendContext). It requires the ANN identification
-// engine — every bin carries its embedding set, index and fitted kernel
-// width — and per-user verification gates. Exhaustive-mode models and
-// pooled-gate models (the pooled sphere would have to be refit over every
-// user's data) report false; the registry then falls back to a full
-// retrain.
+// with new users (ExtendContext). Extension needs per-user verification
+// gates and every bin's fitted kernel width. Pooled-gate models (the
+// pooled sphere would have to be refit over every user's data) and
+// loaded snapshots without a stored width report false; the registry
+// then falls back to a full retrain.
 func (a *Authenticator) CanExtend() bool {
-	if a.cfg.PooledGate || a.cfg.Identify.mode() != IdentifyANN {
+	if a.cfg.PooledGate {
 		return false
 	}
 	for _, bm := range a.bins {
-		if bm.ann == nil || bm.embeds == nil || bm.gamma <= 0 {
+		if bm.gamma <= 0 {
 			return false
 		}
 	}
@@ -201,7 +200,7 @@ func (a *Authenticator) extendBin(old *binModel, x [][]float64, labels []int, ex
 	// Margin re-ranker: train only the new duels, sharing old pairs.
 	// Past the user bound the shortlist is ranked by cosine similarity
 	// alone, matching fitBinModel.
-	if len(bm.users) > a.cfg.Identify.maxSVMUsers() {
+	if len(bm.users) > maxSVMUsers {
 		return bm, nil
 	}
 	added := make(map[int][][]float64, len(newUsers))

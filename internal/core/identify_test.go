@@ -58,30 +58,16 @@ func synthRoster(users, perUser, probes int, seed int64) (enroll, probe map[int]
 	return enroll, probe
 }
 
-// TestIdentifyANNMatchesExhaustive trains the same 24-user enrollment
-// through both identification engines and requires the ANN path to agree
-// with the exhaustive one-vs-one SVM on essentially every probe, with
+// TestIdentifyANNMatchesExhaustive trains a 24-user model and requires
+// the ANN path (shortlist, re-rank, gate) to agree with the exhaustive
+// one-vs-one SVM vote on the same model on essentially every probe, with
 // shortlist recall ≥ 0.99.
 func TestIdentifyANNMatchesExhaustive(t *testing.T) {
 	enroll, probe := synthRoster(24, 6, 4, 42)
 
-	annCfg := cheapAuthConfig()
-	exCfg := cheapAuthConfig()
-	exCfg.Identify.Mode = core.IdentifyExhaustive
-
-	annAuth, err := core.TrainAuthenticator(context.Background(), annCfg, enroll)
+	annAuth, err := core.TrainAuthenticator(context.Background(), cheapAuthConfig(), enroll)
 	if err != nil {
-		t.Fatalf("train ANN: %v", err)
-	}
-	exAuth, err := core.TrainAuthenticator(context.Background(), exCfg, enroll)
-	if err != nil {
-		t.Fatalf("train exhaustive: %v", err)
-	}
-	if annAuth.IdentifyMode() != core.IdentifyANN {
-		t.Fatalf("ANN model mode %q", annAuth.IdentifyMode())
-	}
-	if exAuth.IdentifyMode() != core.IdentifyExhaustive {
-		t.Fatalf("exhaustive model mode %q", exAuth.IdentifyMode())
+		t.Fatalf("train: %v", err)
 	}
 	if annAuth.IndexSize() != 24*6 {
 		t.Fatalf("index size %d, want %d", annAuth.IndexSize(), 24*6)
@@ -92,7 +78,7 @@ func TestIdentifyANNMatchesExhaustive(t *testing.T) {
 		for _, img := range imgs {
 			total++
 			a := annAuth.Authenticate(img)
-			e := exAuth.Authenticate(img)
+			e := annAuth.AuthenticateExhaustive(img)
 			if a.Accepted == e.Accepted && a.UserID == e.UserID {
 				agree++
 			}
@@ -119,10 +105,8 @@ func TestIdentifyANNMatchesExhaustive(t *testing.T) {
 // bound, forcing the cosine-similarity re-rank, and requires identification
 // to keep working.
 func TestShortlistPastSVMBound(t *testing.T) {
-	cfg := cheapAuthConfig()
-	cfg.Identify.MaxSVMUsers = 8 // far below the 20-user roster
-	enroll, probe := synthRoster(20, 5, 3, 7)
-	auth, err := core.TrainAuthenticator(context.Background(), cfg, enroll)
+	enroll, probe := synthRoster(core.MaxSVMUsers+6, 5, 3, 7)
+	auth, err := core.TrainAuthenticator(context.Background(), cheapAuthConfig(), enroll)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,9 +157,6 @@ func TestPersistRoundTripByteIdentity(t *testing.T) {
 		t.Fatalf("re-serialization differs: %d vs %d bytes", first.Len(), second.Len())
 	}
 
-	if loaded.IdentifyMode() != core.IdentifyANN {
-		t.Fatalf("loaded mode %q", loaded.IdentifyMode())
-	}
 	if got, want := loaded.IndexSize(), auth.IndexSize(); got != want {
 		t.Fatalf("loaded index size %d, want %d", got, want)
 	}
@@ -202,8 +183,8 @@ func TestPersistRoundTripByteIdentity(t *testing.T) {
 }
 
 // TestPersistRejectsCorruptSnapshots mutates a valid v2 snapshot —
-// truncated index blob, truncated embeddings blob, an index without its
-// embeddings — and requires LoadAuthenticator to reject each.
+// truncated index blob, truncated embeddings blob, one of the pair or both
+// missing — and requires LoadAuthenticator to reject each.
 func TestPersistRejectsCorruptSnapshots(t *testing.T) {
 	enroll, _ := synthRoster(4, 4, 0, 5)
 	auth, err := core.TrainAuthenticator(context.Background(), cheapAuthConfig(), enroll)
@@ -246,6 +227,10 @@ func TestPersistRejectsCorruptSnapshots(t *testing.T) {
 		"truncated embeddings": truncate("embeds"),
 		"index without embeds": func(bin map[string]any) { delete(bin, "embeds") },
 		"embeds without index": func(bin map[string]any) { delete(bin, "index") },
+		"neither embeds nor index": func(bin map[string]any) {
+			delete(bin, "embeds")
+			delete(bin, "index")
+		},
 	}
 	for name, f := range cases {
 		mutated := mutate(t, f)
@@ -284,7 +269,7 @@ func TestExtendContextAddsUserWithoutRetraining(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !auth.CanExtend() {
-		t.Fatal("ANN-mode model should support extension")
+		t.Fatal("per-user-gate model should support extension")
 	}
 	ext, err := auth.ExtendContext(t.Context(), add, enroll)
 	if err != nil {
@@ -345,14 +330,18 @@ func TestExtendContextAddsUserWithoutRetraining(t *testing.T) {
 		t.Error("two-image enrollment accepted for extension")
 	}
 
-	// Exhaustive-mode models cannot extend.
-	exCfg := cheapAuthConfig()
-	exCfg.Identify.Mode = core.IdentifyExhaustive
-	exAuth, err := core.TrainAuthenticator(context.Background(), exCfg, enroll)
+	// Pooled-gate models cannot extend: the pooled sphere would have to
+	// be refit over every user's data.
+	pooledCfg := cheapAuthConfig()
+	pooledCfg.PooledGate = true
+	pooled, err := core.TrainAuthenticator(context.Background(), pooledCfg, enroll)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if exAuth.CanExtend() {
-		t.Error("exhaustive model claims extension support")
+	if pooled.CanExtend() {
+		t.Error("pooled-gate model claims extension support")
+	}
+	if _, err := pooled.ExtendContext(t.Context(), add, enroll); err == nil {
+		t.Error("pooled-gate model extended")
 	}
 }

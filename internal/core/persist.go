@@ -86,15 +86,11 @@ func (a *Authenticator) Save(w io.Writer) error {
 		if bm.whiten != nil {
 			bs.Whiten = exportWhitener(bm.whiten)
 		}
-		if bm.embeds != nil {
-			if bs.Embeds, err = bm.embeds.MarshalBinary(); err != nil {
-				return fmt.Errorf("core: export embeddings (bin %d): %w", bin, err)
-			}
+		if bs.Embeds, err = bm.embeds.MarshalBinary(); err != nil {
+			return fmt.Errorf("core: export embeddings (bin %d): %w", bin, err)
 		}
-		if bm.ann != nil {
-			if bs.Index, err = bm.ann.MarshalBinary(); err != nil {
-				return fmt.Errorf("core: export index (bin %d): %w", bin, err)
-			}
+		if bs.Index, err = bm.ann.MarshalBinary(); err != nil {
+			return fmt.Errorf("core: export index (bin %d): %w", bin, err)
 		}
 		state.Bins[fmt.Sprint(bin)] = bs
 	}
@@ -165,24 +161,22 @@ func LoadAuthenticator(r io.Reader) (*Authenticator, error) {
 		if bs.Whiten != nil {
 			bm.whiten = restoreWhitener(bs.Whiten)
 		}
-		if (bs.Embeds == nil) != (bs.Index == nil) {
-			return nil, fmt.Errorf("core: bin %d has embeddings or index without its counterpart", bin)
+		if len(bs.Embeds) == 0 || len(bs.Index) == 0 {
+			return nil, fmt.Errorf("core: bin %d lacks its embedding set or index", bin)
 		}
-		if bs.Embeds != nil {
-			es, err := embed.UnmarshalSet(bs.Embeds)
-			if err != nil {
-				return nil, fmt.Errorf("core: restore embeddings (bin %d): %w", bin, err)
-			}
-			ann, err := index.Unmarshal(bs.Index)
-			if err != nil {
-				return nil, fmt.Errorf("core: restore index (bin %d): %w", bin, err)
-			}
-			if ann.Len() != es.Len() || ann.Dim() != es.Dim() {
-				return nil, fmt.Errorf("core: bin %d index (%d×%d) does not match embeddings (%d×%d)",
-					bin, ann.Len(), ann.Dim(), es.Len(), es.Dim())
-			}
-			bm.embeds, bm.ann = es, ann
+		es, err := embed.UnmarshalSet(bs.Embeds)
+		if err != nil {
+			return nil, fmt.Errorf("core: restore embeddings (bin %d): %w", bin, err)
 		}
+		ann, err := index.Unmarshal(bs.Index)
+		if err != nil {
+			return nil, fmt.Errorf("core: restore index (bin %d): %w", bin, err)
+		}
+		if ann.Len() != es.Len() || ann.Dim() != es.Dim() {
+			return nil, fmt.Errorf("core: bin %d index (%d×%d) does not match embeddings (%d×%d)",
+				bin, ann.Len(), ann.Dim(), es.Len(), es.Dim())
+		}
+		bm.embeds, bm.ann = es, ann
 		auth.bins[bin] = bm
 	}
 	return auth, nil

@@ -99,14 +99,9 @@ type Server struct {
 	conns  map[net.Conn]struct{} // guarded by connMu
 }
 
-// New builds a server with default options around a sensing pipeline.
-// logf may be nil to silence logging.
-func New(sys *core.System, authCfg core.AuthConfig, logf func(string, ...any)) *Server {
-	return NewWithOptions(sys, authCfg, logf, Options{})
-}
-
-// NewWithOptions builds a server. Call Close when done to stop the
-// registry's retrain worker.
+// NewWithOptions builds a server around a sensing pipeline; logf may be
+// nil to silence logging. Call Close when done to stop the registry's
+// retrain worker.
 func NewWithOptions(sys *core.System, authCfg core.AuthConfig, logf func(string, ...any), opts Options) *Server {
 	if logf == nil {
 		logf = func(string, ...any) {}
@@ -685,7 +680,6 @@ func (s *Server) ModelInfo() proto.ModelInfoResponse {
 		resp.TrainedAt = snap.Info.TrainedAt.UTC().Format(time.RFC3339)
 		resp.Loaded = snap.Info.Loaded
 		resp.Extended = snap.Info.Extended
-		resp.IdentifyMode = snap.Info.IdentifyMode
 		resp.IndexSize = snap.Info.IndexSize
 	}
 	if err := s.reg.LastError(); err != nil {

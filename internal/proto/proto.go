@@ -225,12 +225,8 @@ type ModelInfoResponse struct {
 	// Extended marks a model produced by incremental extension (only the
 	// newly registered users were fit) rather than a full retrain.
 	Extended bool `json:"extended,omitempty"`
-	// IdentifyMode is the identification engine the model serves with:
-	// "ann" (embedding index shortlist) or "exhaustive" (full one-vs-one
-	// SVM scan).
-	IdentifyMode string `json:"identify_mode,omitempty"`
 	// IndexSize is the number of enrollment embeddings across the model's
-	// ANN indexes (0 in exhaustive mode).
+	// ANN indexes.
 	IndexSize int `json:"index_size,omitempty"`
 	// LastError is the most recent background training failure, empty
 	// once a later train succeeds.
@@ -241,8 +237,8 @@ type ModelInfoResponse struct {
 	Degraded bool `json:"degraded,omitempty"`
 }
 
-// HandoffRequest moves one user's shard-local state (enrollment captures
-// plus the model's per-user slice) between daemons. It is issued by
+// HandoffRequest moves one user's shard-local state (enrollment captures)
+// between daemons. It is issued by
 // echoimage-router during a drain, never by end-user clients, and the
 // router does not route it — it is always addressed to a specific shard.
 // Exactly one of Export / State must be set: Export asks the shard to
@@ -254,8 +250,8 @@ type HandoffRequest struct {
 	// the shard's state directory (when configured), and return the blob.
 	Export bool `json:"export,omitempty"`
 	// State is a blob from a prior export, in the registry's user-state
-	// encoding (which reuses the v2 model-snapshot state types), to be
-	// installed on the receiving shard.
+	// encoding (version 2: the user's enrollment images), to be installed
+	// on the receiving shard.
 	State []byte `json:"state,omitempty"`
 }
 

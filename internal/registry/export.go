@@ -1,11 +1,9 @@
 // Shard-local per-user persistence: serialize one user's state (raw
-// enrollment captures plus the live model's per-user slice) to a blob
-// that can be flushed to disk and handed to another shard. This is the
-// registry half of the cluster drain → flush → handoff pipeline: the
-// enrollment images are the ground truth a successor retrains from (a
-// peer's whitener and identification space are shard-local, so grafting
-// model internals across shards is unsound), while the per-user gate
-// states ride along as an archival record in the v2 snapshot state types.
+// enrollment captures) to a blob that can be flushed to disk and handed
+// to another shard. This is the registry half of the cluster drain →
+// flush → handoff pipeline: the enrollment images are the ground truth a
+// successor retrains from (a peer's whitener and identification space
+// are shard-local, so grafting model internals across shards is unsound).
 package registry
 
 import (
@@ -19,8 +17,9 @@ import (
 	"echoimage/internal/core"
 )
 
-// userStateVersion is the per-user blob format. It tracks the model
-// snapshot format (v2) whose state encoding the Model field reuses.
+// userStateVersion is the per-user blob format, the only one ever
+// written. Blobs from builds that also carried a per-user model slice
+// under "model" still import: the decoder ignores that key.
 const userStateVersion = 2
 
 // userState is the serialized shard-local state of one user.
@@ -28,11 +27,9 @@ type userState struct {
 	Version int                   `json:"version"`
 	UserID  int                   `json:"user_id"`
 	Images  []*core.AcousticImage `json:"images"`
-	Model   *core.UserModelState  `json:"model,omitempty"`
 }
 
-// ExportUser serializes the user's enrollment images and, when the live
-// model covers the user, its per-user model slice. It returns the blob
+// ExportUser serializes the user's enrollment images. It returns the blob
 // and the image count, without touching disk.
 func (r *Registry) ExportUser(userID int) ([]byte, int, error) {
 	r.mu.Lock()
@@ -52,13 +49,6 @@ func (r *Registry) ExportUser(userID int) ([]byte, int, error) {
 		// store is safe, but the slice header is copied so a concurrent
 		// enroll cannot grow it under the encoder.
 		Images: imgs[:len(imgs):len(imgs)],
-	}
-	if snap := r.model.Load(); snap != nil && snap.Auth != nil {
-		model, err := snap.Auth.ExportUserState(userID)
-		if err != nil {
-			return nil, 0, err
-		}
-		st.Model = model
 	}
 	blob, err := json.Marshal(&st)
 	if err != nil {
@@ -92,16 +82,16 @@ func (r *Registry) FlushUser(userID int) ([]byte, int, error) {
 // Import is idempotent: a blob matching an already-present enrollment of
 // the same size reports imported=false with no error (a re-delivered
 // handoff), while a mismatched existing enrollment is a conflict error.
-// Corrupt blobs — undecodable, empty, or carrying an unrestorable model
-// slice — are rejected before any state changes. A successful install is
+// Corrupt blobs — undecodable, of another version, or carrying no or
+// empty images — are rejected before any state changes. A successful install is
 // flushed to the state directory when one is configured.
 func (r *Registry) ImportUser(blob []byte) (int, int, bool, error) {
 	var st userState
 	if err := json.Unmarshal(blob, &st); err != nil {
 		return 0, 0, false, fmt.Errorf("registry: decode user state: %w", err)
 	}
-	if st.Version < 1 || st.Version > userStateVersion {
-		return 0, 0, false, fmt.Errorf("registry: user state version %d, want <= %d", st.Version, userStateVersion)
+	if st.Version != userStateVersion {
+		return 0, 0, false, fmt.Errorf("registry: user state version %d, want %d", st.Version, userStateVersion)
 	}
 	if st.UserID <= 0 {
 		return 0, 0, false, fmt.Errorf("registry: user state ID %d must be positive", st.UserID)
@@ -113,9 +103,6 @@ func (r *Registry) ImportUser(blob []byte) (int, int, bool, error) {
 		if img == nil || img.Image == nil || len(img.Pix) == 0 {
 			return 0, 0, false, fmt.Errorf("registry: user %d state image %d is empty", st.UserID, i)
 		}
-	}
-	if err := core.ValidateUserModelState(st.Model); err != nil {
-		return 0, 0, false, fmt.Errorf("registry: user %d state: %w", st.UserID, err)
 	}
 
 	r.mu.Lock()

@@ -92,12 +92,12 @@ func TestImportRejectsCorruptBlobs(t *testing.T) {
 	r := New(core.AuthConfig{}, Options{Train: instantTrain})
 	defer r.Close()
 	cases := map[string]string{
-		"garbage":        `{{{`,
-		"bad version":    `{"version":99,"user_id":1,"images":[{"Rows":1,"Cols":1,"Pix":[1]}]}`,
-		"no user":        `{"version":2,"user_id":0,"images":[{"Rows":1,"Cols":1,"Pix":[1]}]}`,
-		"no images":      `{"version":2,"user_id":1,"images":[]}`,
-		"empty image":    `{"version":2,"user_id":1,"images":[{}]}`,
-		"bad model bins": `{"version":2,"user_id":1,"images":[{"Rows":1,"Cols":1,"Pix":[1]}],"model":{"bins":{"notanumber":null}}}`,
+		"garbage":     `{{{`,
+		"version 1":   `{"version":1,"user_id":1,"images":[{"Rows":1,"Cols":1,"Pix":[1]}]}`,
+		"bad version": `{"version":99,"user_id":1,"images":[{"Rows":1,"Cols":1,"Pix":[1]}]}`,
+		"no user":     `{"version":2,"user_id":0,"images":[{"Rows":1,"Cols":1,"Pix":[1]}]}`,
+		"no images":   `{"version":2,"user_id":1,"images":[]}`,
+		"empty image": `{"version":2,"user_id":1,"images":[{}]}`,
 	}
 	for name, blob := range cases {
 		if _, _, _, err := r.ImportUser([]byte(blob)); err == nil {
@@ -106,6 +106,23 @@ func TestImportRejectsCorruptBlobs(t *testing.T) {
 	}
 	if stats := r.Stats(); len(stats.Users) != 0 {
 		t.Errorf("rejected blobs changed state: %+v", stats)
+	}
+}
+
+// TestImportIgnoresModelKey: blobs written by builds that also carried a
+// per-user model slice under "model" still import. The key is never read,
+// so its content — here one an old validator would have refused — does
+// not matter.
+func TestImportIgnoresModelKey(t *testing.T) {
+	r := New(core.AuthConfig{}, Options{Train: instantTrain})
+	defer r.Close()
+	blob := `{"version":2,"user_id":4,"images":[{"Rows":1,"Cols":1,"Pix":[1]}],"model":{"bins":{"notanumber":null}}}`
+	id, n, imported, err := r.ImportUser([]byte(blob))
+	if err != nil {
+		t.Fatalf("blob with a model key refused: %v", err)
+	}
+	if id != 4 || n != 1 || !imported {
+		t.Errorf("import returned id=%d n=%d imported=%v", id, n, imported)
 	}
 }
 

@@ -52,11 +52,8 @@ type ModelInfo struct {
 	// previous snapshot (only the new users were fit) rather than a full
 	// retrain.
 	Extended bool
-	// IdentifyMode is the identification engine the model serves with
-	// ("ann" or "exhaustive").
-	IdentifyMode string
 	// IndexSize is the number of enrollment embeddings across the model's
-	// ANN indexes (0 in exhaustive mode).
+	// ANN indexes.
 	IndexSize int
 }
 
@@ -413,7 +410,6 @@ func (r *Registry) worker() {
 				TrainDuration: elapsed,
 				TrainedAt:     time.Now(),
 				Extended:      extended,
-				IdentifyMode:  string(auth.IdentifyMode()),
 				IndexSize:     auth.IndexSize(),
 			}
 			r.model.Store(&Snapshot{Auth: auth, Info: info})
@@ -592,11 +588,10 @@ func (r *Registry) Install(auth *core.Authenticator) {
 	r.mu.Lock()
 	r.version++
 	info := ModelInfo{
-		Version:      r.version,
-		TrainedAt:    time.Now(),
-		Loaded:       true,
-		IdentifyMode: string(auth.IdentifyMode()),
-		IndexSize:    auth.IndexSize(),
+		Version:   r.version,
+		TrainedAt: time.Now(),
+		Loaded:    true,
+		IndexSize: auth.IndexSize(),
 	}
 	r.model.Store(&Snapshot{Auth: auth, Info: info})
 	// The loaded model's training set is unknown: the next enrollment
