@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race bench bench-ci bench-report perfbench telemetry-smoke cluster-smoke fuzz-smoke lint lint-self ci
+.PHONY: build test vet race bench bench-ci bench-report perfbench telemetry-smoke cluster-smoke fuzz-smoke lint ci
 
 build:
 	$(GO) build ./...
@@ -150,10 +150,4 @@ lint:
 		exit 1; \
 	fi
 
-# Self-check: the analyzer package and its driver stay clean under the
-# very suite they implement — an analyzer that cannot pass its own rules
-# has no authority over the rest of the tree.
-lint-self:
-	$(GO) run ./cmd/echoimage-lint ./internal/analysis/... ./cmd/echoimage-lint
-
-ci: vet lint lint-self test perfbench bench-ci fuzz-smoke
+ci: vet lint test perfbench bench-ci fuzz-smoke

@@ -205,9 +205,9 @@ func (a *Array) SteeringVector(d Direction, freqHz float64) []complex128 {
 }
 
 // SteeringVectorInto writes the steering vector into dst, which must have
-// one entry per microphone. Hot loops (per-pixel imaging plans, per-bin
-// subband steering) use it with a reused buffer to avoid one allocation per
-// direction.
+// one entry per microphone. Hot loops (per-pixel imaging plans, pooled
+// MVDR weight solves) use it with a reused buffer to avoid one allocation
+// per direction.
 func (a *Array) SteeringVectorInto(dst []complex128, d Direction, freqHz float64) {
 	if len(dst) != len(a.mics) {
 		panic(fmt.Sprintf("array: steering destination length %d for %d mics", len(dst), len(a.mics)))

@@ -1,8 +1,8 @@
 // Package beamform implements the spatial filtering EchoImage relies on:
-// MVDR (minimum variance distortionless response) and delay-and-sum
-// beamformers over narrowband analytic signals, noise covariance estimation
-// with diagonal loading, a subband (per-FFT-bin) variant for wideband
-// chirps, and beampattern evaluation.
+// the narrowband MVDR (minimum variance distortionless response)
+// beamformer over analytic signals, which degrades to delay-and-sum under
+// identity noise, noise covariance estimation with diagonal loading, and
+// beampattern evaluation.
 package beamform
 
 import (
@@ -91,45 +91,6 @@ func EstimateCovariance(x [][]complex128, start, end int, loading float64) (*cma
 	return cov, nil
 }
 
-// MVDRWeights computes the MVDR weight vector (Eq. 8):
-//
-//	w = ρ_n⁻¹·p_s / (p_sᴴ·ρ_n⁻¹·p_s)
-//
-// for the steering vector p_s and normalized noise covariance ρ_n. The
-// weights satisfy the distortionless constraint wᴴ·p_s = 1.
-func MVDRWeights(noiseCov *cmat.Matrix, steering []complex128) ([]complex128, error) {
-	if noiseCov.Rows != len(steering) {
-		return nil, fmt.Errorf("beamform: covariance %dx%d vs steering %d", noiseCov.Rows, noiseCov.Cols, len(steering))
-	}
-	chol, err := cmat.Factor(noiseCov)
-	if err != nil {
-		return nil, fmt.Errorf("beamform: factor noise covariance: %w", err)
-	}
-	num, err := chol.SolveVec(steering)
-	if err != nil {
-		return nil, err
-	}
-	den := cmat.Dot(steering, num)
-	if cmplx.Abs(den) < 1e-30 {
-		return nil, fmt.Errorf("beamform: degenerate MVDR denominator %v", den)
-	}
-	for i, v := range num {
-		num[i] = v / den
-	}
-	return num, nil
-}
-
-// DelayAndSumWeights returns the conventional beamformer weights
-// w = p_s / M, which phase-align and average the channels.
-func DelayAndSumWeights(steering []complex128) []complex128 {
-	m := len(steering)
-	w := make([]complex128, m)
-	for i, v := range steering {
-		w[i] = v / complex(float64(m), 0)
-	}
-	return w
-}
-
 // Apply beamforms the M-channel analytic signal with the weight vector:
 // y(t) = wᴴ·x(t). All channels must share a length.
 func Apply(x [][]complex128, w []complex128) ([]complex128, error) {
@@ -164,15 +125,6 @@ func RealPart(x []complex128) []float64 {
 	out := make([]float64, len(x))
 	for i, v := range x {
 		out[i] = real(v)
-	}
-	return out
-}
-
-// Magnitude extracts |x(t)|, the envelope of a beamformed analytic signal.
-func Magnitude(x []complex128) []float64 {
-	out := make([]float64, len(x))
-	for i, v := range x {
-		out[i] = cmplx.Abs(v)
 	}
 	return out
 }

@@ -29,18 +29,32 @@ func synthPlaneWave(arr *array.Array, d array.Direction, freqHz, fs float64, n i
 	return out
 }
 
+// TestMVDRDistortionless checks wᴴ·p_s = 1, the defining MVDR constraint,
+// on the weights ranging and imaging steer with, under both white and
+// estimated (non-identity) noise.
 func TestMVDRDistortionless(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
 	arr := array.ReSpeaker()
-	cov := cmat.Identity(arr.Len())
-	d := array.Direction{Azimuth: math.Pi / 2, Elevation: math.Pi / 3}
-	sv := arr.SteeringVector(d, 2500)
-	w, err := MVDRWeights(cov, sv)
+	const freq = 2500.0
+	jam := synthPlaneWave(arr, array.Direction{Azimuth: -1, Elevation: 1.2}, freq, 48000, 1024, 0.1, rng)
+	est, err := EstimateCovariance(jam, 0, 1024, 1e-3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// wᴴ·p_s = 1 (the defining constraint).
-	if g := cmat.Dot(w, sv); cmplx.Abs(g-1) > 1e-9 {
-		t.Errorf("distortionless response %v, want 1", g)
+	d := array.Direction{Azimuth: math.Pi / 2, Elevation: math.Pi / 3}
+	sv := arr.SteeringVector(d, freq)
+	for _, cov := range []*cmat.Matrix{nil, est} {
+		bf, err := New(arr, cov, freq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w, err := bf.WeightsFor(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g := cmat.Dot(w, sv); cmplx.Abs(g-1) > 1e-9 {
+			t.Errorf("identity=%v: distortionless response %v, want 1", cov == nil, g)
+		}
 	}
 }
 
@@ -138,14 +152,25 @@ func TestEstimateCovarianceDegenerate(t *testing.T) {
 	}
 }
 
+// TestDelayAndSumWeights checks that MVDR under spatially white noise (a
+// nil covariance) is the delay-and-sum beamformer w = p_s / M.
 func TestDelayAndSumWeights(t *testing.T) {
 	arr := array.ReSpeaker()
 	d := array.Direction{Azimuth: 0.5, Elevation: 1.0}
 	sv := arr.SteeringVector(d, 2500)
-	w := DelayAndSumWeights(sv)
-	// Unit gain toward the look direction.
-	if g := cmat.Dot(w, sv); cmplx.Abs(g-1) > 1e-12 {
-		t.Errorf("DAS look gain %v, want 1", g)
+	bf, err := New(arr, nil, 2500)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := bf.WeightsFor(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := complex(float64(arr.Len()), 0)
+	for i := range w {
+		if diff := cmplx.Abs(w[i] - sv[i]/m); diff > 1e-12 {
+			t.Errorf("w[%d] = %v, want p_s/M = %v", i, w[i], sv[i]/m)
+		}
 	}
 }
 
@@ -160,13 +185,10 @@ func TestApplyValidation(t *testing.T) {
 	}
 }
 
-func TestRealPartMagnitude(t *testing.T) {
+func TestRealPart(t *testing.T) {
 	x := []complex128{3 + 4i, -1}
 	if r := RealPart(x); r[0] != 3 || r[1] != -1 {
 		t.Errorf("RealPart = %v", r)
-	}
-	if m := Magnitude(x); math.Abs(m[0]-5) > 1e-12 || m[1] != 1 {
-		t.Errorf("Magnitude = %v", m)
 	}
 }
 
@@ -180,126 +202,5 @@ func TestNewValidation(t *testing.T) {
 	}
 	if _, err := New(arr, cmat.Identity(3), 2500); err == nil {
 		t.Error("wrong covariance size accepted")
-	}
-}
-
-func TestSubbandSteerRecoversTone(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	arr := array.ReSpeaker()
-	d := array.Direction{Azimuth: math.Pi / 2, Elevation: math.Pi / 2}
-	const fs = 48000.0
-	cfg := SubbandConfig{SampleRate: fs, LowHz: 2000, HighHz: 3000}
-	sb, err := NewSubband(arr, cfg, 1024, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Real in-band plane wave frame.
-	frame := make([][]float64, arr.Len())
-	sv := arr.SteeringVector(d, 2500)
-	for m := range frame {
-		frame[m] = make([]float64, sb.FrameSize())
-		phase := cmplx.Phase(sv[m])
-		for t := 0; t < sb.FrameSize(); t++ {
-			frame[m][t] = math.Cos(2*math.Pi*2500*float64(t)/fs+phase) + rng.NormFloat64()*0.01
-		}
-	}
-	y, err := sb.Steer(frame, d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Output power should approximate the aligned tone's power (~0.5).
-	var p float64
-	for _, v := range y {
-		p += v * v
-	}
-	p /= float64(len(y))
-	if p < 0.3 {
-		t.Errorf("subband output power %g, want ≈ 0.5", p)
-	}
-}
-
-func TestSubbandValidation(t *testing.T) {
-	arr := array.ReSpeaker()
-	bad := SubbandConfig{SampleRate: 48000, LowHz: 3000, HighHz: 2000}
-	if _, err := NewSubband(arr, bad, 512, nil); err == nil {
-		t.Error("inverted band accepted")
-	}
-	good := SubbandConfig{SampleRate: 48000, LowHz: 2000, HighHz: 3000}
-	if _, err := NewSubband(nil, good, 512, nil); err == nil {
-		t.Error("nil array accepted")
-	}
-	if _, err := NewSubband(arr, good, 1, nil); err == nil {
-		t.Error("tiny frame accepted")
-	}
-}
-
-func TestSubbandWithNoiseFramesSuppresssInterferer(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	arr := array.ReSpeaker()
-	look := array.Direction{Azimuth: math.Pi / 2, Elevation: math.Pi / 2}
-	jam := array.Direction{Azimuth: -math.Pi / 2, Elevation: math.Pi / 2}
-	const fs = 48000.0
-	frameLen := 1024
-
-	// Noise-only frames: interferer tone at 2.4 kHz from the jam
-	// direction.
-	mkFrame := func(dir array.Direction, freq, amp float64) [][]float64 {
-		sv := arr.SteeringVector(dir, freq)
-		frame := make([][]float64, arr.Len())
-		for m := range frame {
-			frame[m] = make([]float64, frameLen)
-			phase := cmplx.Phase(sv[m])
-			for ti := 0; ti < frameLen; ti++ {
-				frame[m][ti] = amp * math.Cos(2*math.Pi*freq*float64(ti)/fs+phase)
-			}
-		}
-		return frame
-	}
-	var noiseFrames [][][]float64
-	for i := 0; i < 8; i++ {
-		f := mkFrame(jam, 2400, 1)
-		for m := range f {
-			for ti := range f[m] {
-				f[m][ti] += rng.NormFloat64() * 0.05
-			}
-		}
-		noiseFrames = append(noiseFrames, f)
-	}
-	cfg := SubbandConfig{SampleRate: fs, LowHz: 2000, HighHz: 3000, Loading: 1e-2}
-	sb, err := NewSubband(arr, cfg, frameLen, noiseFrames)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Live frame: desired tone from the look direction plus the jammer.
-	frame := mkFrame(look, 2400, 1)
-	jamFrame := mkFrame(jam, 2400, 1)
-	for m := range frame {
-		for ti := range frame[m] {
-			frame[m][ti] += jamFrame[m][ti]
-		}
-	}
-	y, err := sb.Steer(frame, look)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Compare with pure-jammer output: the jammer must be attenuated
-	// relative to the look-direction tone.
-	yJam, err := sb.Steer(jamFrame, look)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var pMix, pJam float64
-	for i := range y {
-		pMix += y[i] * y[i]
-		pJam += yJam[i] * yJam[i]
-	}
-	if pJam > 0.5*pMix {
-		t.Errorf("jammer power %g not suppressed relative to mix %g", pJam, pMix)
-	}
-
-	// Channel-count validation.
-	if _, err := sb.Steer(frame[:2], look); err == nil {
-		t.Error("channel mismatch accepted")
 	}
 }

@@ -160,15 +160,6 @@ func (c *Cholesky) SolveVecTo(dst, b []complex128) error {
 	return c.SolveInPlace(dst)
 }
 
-// SolveVec returns A⁻¹·b in a new slice.
-func (c *Cholesky) SolveVec(b []complex128) ([]complex128, error) {
-	out := make([]complex128, c.n)
-	if err := c.SolveVecTo(out, b); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // Reconstruct returns L·Lᴴ, the (possibly loaded) matrix the factor
 // represents; tests use it to bound factorization error.
 func (c *Cholesky) Reconstruct() *Matrix {

@@ -27,7 +27,7 @@ func randHermitianPD(rng *rand.Rand, n int) *Matrix {
 }
 
 // TestCholeskySolveMatchesInverse pins the hot-path triangular solves
-// against the reference Gauss-Jordan inverse: A⁻¹·b via Factor+SolveVec
+// against the reference Gauss-Jordan inverse: A⁻¹·b via Factor+SolveVecTo
 // must agree with Inverse+MulVec to 1e-12 relative precision for every
 // array size the pipeline uses (M = 2..8).
 func TestCholeskySolveMatchesInverse(t *testing.T) {
@@ -52,8 +52,8 @@ func TestCholeskySolveMatchesInverse(t *testing.T) {
 				b[i] = complex(rng.NormFloat64(), rng.NormFloat64())
 				scale += cmplx.Abs(b[i])
 			}
-			got, err := chol.SolveVec(b)
-			if err != nil {
+			got := make([]complex128, n)
+			if err := chol.SolveVecTo(got, b); err != nil {
 				t.Fatalf("n=%d: solve: %v", n, err)
 			}
 			want, err := inv.MulVec(b)
@@ -113,8 +113,8 @@ func TestCholeskyLoadingFallback(t *testing.T) {
 		t.Errorf("L·Lᴴ differs from loaded input by %g", d)
 	}
 	// And solves must at least produce finite output.
-	x, err := chol.SolveVec([]complex128{1, 2, 3, 4})
-	if err != nil {
+	x := make([]complex128, 4)
+	if err := chol.SolveVecTo(x, []complex128{1, 2, 3, 4}); err != nil {
 		t.Fatalf("solve: %v", err)
 	}
 	for i, v := range x {
@@ -164,8 +164,8 @@ func TestCholeskySolveVecToAliasing(t *testing.T) {
 	for i := range b {
 		b[i] = complex(rng.NormFloat64(), rng.NormFloat64())
 	}
-	want, err := chol.SolveVec(b)
-	if err != nil {
+	want := make([]complex128, 5)
+	if err := chol.SolveVecTo(want, b); err != nil {
 		t.Fatal(err)
 	}
 	if err := chol.SolveVecTo(b, b); err != nil {

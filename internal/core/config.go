@@ -219,6 +219,7 @@ type Capture struct {
 }
 
 // Validate checks shape consistency and returns the (mics, samples) shape.
+// A reference, when present, must carry one non-empty channel per mic.
 func (c *Capture) Validate() (mics, samples int, err error) {
 	if len(c.Beeps) == 0 {
 		return 0, 0, fmt.Errorf("core: capture has no beeps")
@@ -241,6 +242,16 @@ func (c *Capture) Validate() (mics, samples int, err error) {
 		for m, ch := range beep {
 			if len(ch) != samples {
 				return 0, 0, fmt.Errorf("core: beep %d mic %d has %d samples, want %d", l, m, len(ch), samples)
+			}
+		}
+	}
+	if c.Reference != nil {
+		if len(c.Reference) != mics {
+			return 0, 0, fmt.Errorf("core: reference has %d channels, want %d", len(c.Reference), mics)
+		}
+		for m, ch := range c.Reference {
+			if len(ch) == 0 {
+				return 0, 0, fmt.Errorf("core: reference mic %d is empty", m)
 			}
 		}
 	}

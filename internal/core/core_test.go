@@ -52,6 +52,8 @@ func TestCaptureValidate(t *testing.T) {
 		{Beeps: [][][]float64{{{}}}, SampleRate: 48000},
 		{Beeps: [][][]float64{{{1}, {2}}, {{1}}}, SampleRate: 48000},
 		{Beeps: [][][]float64{{{1}, {2, 3}}}, SampleRate: 48000},
+		{Beeps: [][][]float64{{{1}, {2}}}, SampleRate: 48000, Reference: [][]float64{{1}}},
+		{Beeps: [][][]float64{{{1}, {2}}}, SampleRate: 48000, Reference: [][]float64{{1}, {}}},
 	}
 	for i, c := range cases {
 		if _, _, err := c.Validate(); err == nil {

@@ -45,9 +45,6 @@ func preprocess(cfg Config, cap *Capture, noiseOnly [][]float64) (*preprocessed,
 		return nil, fmt.Errorf("core: design bandpass: %w", err)
 	}
 
-	if cap.Reference != nil && len(cap.Reference) != mics {
-		return nil, fmt.Errorf("core: reference has %d channels, want %d", len(cap.Reference), mics)
-	}
 	p := &preprocessed{
 		analytic:     make([][][]complex128, len(cap.Beeps)),
 		samples:      samples,

@@ -629,16 +629,6 @@ func (s *Server) RestoreState() (int, error) {
 	return restored, err
 }
 
-// SaveModel serializes the live model, or reports an error when no model
-// has been trained yet.
-func (s *Server) SaveModel(w io.Writer) error {
-	snap := s.reg.Snapshot()
-	if snap == nil {
-		return fmt.Errorf("daemon: no trained model to save")
-	}
-	return snap.Auth.Save(w)
-}
-
 // LoadModel installs a previously saved model. Enrollment pools are not
 // part of the model; subsequent retrains need fresh enrollment captures.
 func (s *Server) LoadModel(r io.Reader) error {

@@ -163,6 +163,25 @@ func TestEnrollValidation(t *testing.T) {
 	}
 }
 
+// TestEmptyReferenceRefused: a capture whose reference channels are
+// present but empty has no direct path to measure. The enroll is answered
+// with an error reply and the connection keeps serving.
+func TestEmptyReferenceRefused(t *testing.T) {
+	srv := testServer(t, Options{})
+	pc := serveConn(t, srv)
+	wire := wireCapture(t, 1, 1, 1, 1)
+	wire.Reference = make([][]float64, len(wire.Beeps[0]))
+	resp := roundTrip(t, pc, proto.TypeEnrollRequest, "empty-ref", proto.EnrollRequest{UserID: 1, Capture: wire})
+	if code := replyCode(resp); code != proto.CodeProcess {
+		t.Errorf("empty reference answered %s/%q, want %s", resp.Type, code, proto.CodeProcess)
+	}
+	var status proto.StatusResponse
+	mustCall(t, pc, proto.TypeStatusRequest, nil, &status)
+	if status.TotalImages != 0 {
+		t.Errorf("refused enroll added %d images", status.TotalImages)
+	}
+}
+
 // TestEnrollRejectsMismatchedHint: a router sends an enroll to the shard
 // owning its envelope hint, so an enroll whose hint names another user
 // than its body would strand that user's images where their

@@ -58,9 +58,9 @@ func CrossCorrelate(r, s []float64) []float64 {
 
 // realSpectrumConvolve circularly convolves r (zero-padded to the plan's
 // transform size) with the packed spectrum fs and returns the first outLen
-// samples. It is the shared engine of CrossCorrelate, Convolve and the
-// matched-filter plan: any path that caches fs and calls this produces
-// bitwise-identical output to the uncached functions.
+// samples. It is the shared engine of CrossCorrelate and the matched-filter
+// plan: any path that caches fs and calls this produces bitwise-identical
+// output to the uncached CrossCorrelate.
 func realSpectrumConvolve(p *rfftPlan, r []float64, fs []complex128, outLen int) []float64 {
 	padp := p.getPad()
 	pad := *padp
@@ -78,29 +78,6 @@ func realSpectrumConvolve(p *rfftPlan, r []float64, fs []complex128, outLen int)
 	out := make([]float64, outLen)
 	copy(out, pad)
 	p.putSpec(frp)
-	p.putPad(padp)
-	return out
-}
-
-// Convolve computes the full linear convolution of a and b via real-input
-// FFT. The result has length len(a)+len(b)-1.
-func Convolve(a, b []float64) []float64 {
-	n, m := len(a), len(b)
-	if n == 0 || m == 0 {
-		return nil
-	}
-	size := NextPow2(n + m - 1)
-	p := rfftPlanFor(size)
-	fb := p.getSpec()
-	padp := p.getPad()
-	pad := *padp
-	copy(pad, b)
-	for i := m; i < len(pad); i++ {
-		pad[i] = 0
-	}
-	realFFTInto(*fb, pad)
-	out := realSpectrumConvolve(p, a, *fb, n+m-1)
-	p.putSpec(fb)
 	p.putPad(padp)
 	return out
 }

@@ -82,17 +82,6 @@ func Envelope(x []float64) []float64 {
 	return out
 }
 
-// EnvelopeSmoothed computes the Hilbert envelope and then smooths it with a
-// centered moving average of the given window length (in samples). Window
-// lengths <= 1 return the raw envelope.
-func EnvelopeSmoothed(x []float64, window int) []float64 {
-	env := Envelope(x)
-	if window <= 1 || len(env) == 0 {
-		return env
-	}
-	return MovingAverage(env, window)
-}
-
 // MovingAverage smooths x with a centered moving average of the given
 // window length using a running-sum implementation. Edges use the available
 // samples only, so the output length matches the input.

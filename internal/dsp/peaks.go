@@ -56,21 +56,6 @@ func FindPeaks(x []float64, minDist int, threshold float64) []Peak {
 	return peaks
 }
 
-// MaxPeak returns the largest-valued peak among peaks and true, or the zero
-// Peak and false when the slice is empty.
-func MaxPeak(peaks []Peak) (Peak, bool) {
-	if len(peaks) == 0 {
-		return Peak{}, false
-	}
-	best := peaks[0]
-	for _, p := range peaks[1:] {
-		if p.Value > best.Value {
-			best = p
-		}
-	}
-	return best, true
-}
-
 // ArgMax returns the index of the largest value in x, or -1 for an empty
 // slice. Ties resolve to the first occurrence.
 func ArgMax(x []float64) int {

@@ -98,14 +98,9 @@ func FFTReal(x []float64) []complex128 {
 	return out
 }
 
-// RealFFTInto computes the packed one-sided spectrum of x into out, which
-// must have length len(x)/2+1 — the allocation-free form of FFTReal for
-// callers that own their buffers (the subband beamformer, the STFT loop).
-func RealFFTInto(out []complex128, x []float64) {
-	realFFTInto(out, x)
-}
-
-// realFFTInto is the internal core shared by FFTReal and RealFFTInto.
+// realFFTInto computes the packed one-sided spectrum of x into out, which
+// must have length len(x)/2+1 — the allocation-free core of FFTReal for
+// callers that own their buffers (the STFT loop, the correlators).
 func realFFTInto(out []complex128, x []float64) {
 	n := len(x)
 	if len(out) != n/2+1 {

@@ -2,34 +2,8 @@ package dsp
 
 import "math"
 
-// Hann returns an n-point Hann window.
+// Hann returns an n-point Hann window, 0.5·(1 − cos(2πi/(n−1))).
 func Hann(n int) []float64 {
-	return cosineWindow(n, 0.5, 0.5, 0)
-}
-
-// Hamming returns an n-point Hamming window.
-func Hamming(n int) []float64 {
-	return cosineWindow(n, 0.54, 0.46, 0)
-}
-
-// Blackman returns an n-point Blackman window.
-func Blackman(n int) []float64 {
-	return cosineWindow(n, 0.42, 0.5, 0.08)
-}
-
-// Rectangular returns an n-point all-ones window.
-func Rectangular(n int) []float64 {
-	if n <= 0 {
-		return nil
-	}
-	w := make([]float64, n)
-	for i := range w {
-		w[i] = 1
-	}
-	return w
-}
-
-func cosineWindow(n int, a0, a1, a2 float64) []float64 {
 	if n <= 0 {
 		return nil
 	}
@@ -40,21 +14,7 @@ func cosineWindow(n int, a0, a1, a2 float64) []float64 {
 	}
 	for i := range w {
 		x := 2 * math.Pi * float64(i) / float64(n-1)
-		w[i] = a0 - a1*math.Cos(x) + a2*math.Cos(2*x)
+		w[i] = 0.5 - 0.5*math.Cos(x)
 	}
 	return w
-}
-
-// ApplyWindow multiplies x by w element-wise into a new slice. The shorter
-// length of the two wins.
-func ApplyWindow(x, w []float64) []float64 {
-	n := len(x)
-	if len(w) < n {
-		n = len(w)
-	}
-	out := make([]float64, n)
-	for i := 0; i < n; i++ {
-		out[i] = x[i] * w[i]
-	}
-	return out
 }

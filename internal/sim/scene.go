@@ -260,12 +260,6 @@ func (s *Scene) CaptureReference(c chirp.Params, seed int64) ([][]float64, error
 	return beep, nil
 }
 
-// CaptureNoiseOnly renders one beep-window's worth of speaker-silent
-// samples, used to estimate the background noise covariance.
-func (s *Scene) CaptureNoiseOnly(seed int64) ([][]float64, error) {
-	return s.CaptureNoiseFor(seed, s.Config.WindowSec+s.Config.PreRollSec)
-}
-
 // CaptureNoiseFor renders durSec seconds with the speaker silent. Longer
 // noise captures give the MVDR noise covariance more effective degrees of
 // freedom; a deployed system records them in the gaps between beeps.

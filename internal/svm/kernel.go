@@ -1,8 +1,8 @@
 // Package svm implements the classifiers EchoImage authenticates with
 // (§V-E): a from-scratch SMO solver for soft-margin C-SVC with one-vs-one
 // multi-class voting, and Support Vector Domain Description (SVDD, Tax &
-// Duin) for one-class spoofer rejection. Only the RBF and linear kernels
-// the system needs are provided.
+// Duin) for one-class spoofer rejection. The RBF kernel is the only one
+// the system needs.
 package svm
 
 import (
@@ -35,21 +35,6 @@ func (k RBF) Eval(a, b []float64) float64 {
 
 // String implements Kernel.
 func (k RBF) String() string { return fmt.Sprintf("rbf(gamma=%g)", k.Gamma) }
-
-// Linear is the dot-product kernel.
-type Linear struct{}
-
-// Eval implements Kernel.
-func (Linear) Eval(a, b []float64) float64 {
-	var s float64
-	for i := range a {
-		s += a[i] * b[i]
-	}
-	return s
-}
-
-// String implements Kernel.
-func (Linear) String() string { return "linear" }
 
 // GammaScale returns the scikit-learn-style "scale" heuristic for the RBF
 // gamma: 1 / (dim · variance), where variance is the pooled per-component

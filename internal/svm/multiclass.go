@@ -68,26 +68,6 @@ func (m *MultiClass) Classes() []int {
 	return out
 }
 
-// Scores returns, for each class, the number of pairwise duels won and the
-// accumulated winning decision magnitude. It exposes the evidence behind
-// Predict so callers can reason about confidence (e.g. reject ambiguous
-// samples).
-func (m *MultiClass) Scores(x []float64) (votes map[int]int, margin map[int]float64) {
-	votes = make(map[int]int, len(m.classes))
-	margin = make(map[int]float64, len(m.classes))
-	for _, p := range m.pairs {
-		d := p.model.Decision(x)
-		if d >= 0 {
-			votes[p.a]++
-			margin[p.a] += d
-		} else {
-			votes[p.b]++
-			margin[p.b] -= d
-		}
-	}
-	return votes, margin
-}
-
 // PredictAmong restricts the one-vs-one vote to the given candidate
 // classes: only duels where both classes are candidates are evaluated, so
 // re-ranking an ANN shortlist of s candidates costs O(s²) decisions

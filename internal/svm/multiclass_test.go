@@ -5,9 +5,10 @@ import (
 	"testing"
 )
 
-// TestMultiClassScoresConsistentWithPredict verifies the exposed voting
-// evidence agrees with the decision.
-func TestMultiClassScoresConsistentWithPredict(t *testing.T) {
+// TestPredictAmongAllClassesMatchesPredict verifies the shortlist
+// re-ranker's restricted vote: given every class it agrees with the full
+// Predict, and given a pair it returns one of that pair.
+func TestPredictAmongAllClassesMatchesPredict(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	centers := [][2]float64{{2, 0}, {-2, 0}, {0, 3}, {0, -3}}
 	var xs [][]float64
@@ -22,27 +23,14 @@ func TestMultiClassScoresConsistentWithPredict(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	all := m.Classes()
 	for i := 0; i < 60; i++ {
 		x := []float64{rng.NormFloat64() * 3, rng.NormFloat64() * 3}
-		pred := m.Predict(x)
-		votes, margin := m.Scores(x)
-		best, bestVotes := 0, -1
-		for _, c := range m.Classes() {
-			if votes[c] > bestVotes || (votes[c] == bestVotes && margin[c] > margin[best]) {
-				best, bestVotes = c, votes[c]
-			}
+		if got, want := m.PredictAmong(x, all), m.Predict(x); got != want {
+			t.Fatalf("PredictAmong(all) = %d, Predict = %d at %v", got, want, x)
 		}
-		if best != pred {
-			t.Fatalf("Scores winner %d != Predict %d at %v (votes %v)", best, pred, x, votes)
-		}
-		// Total votes equal the number of pairwise duels.
-		total := 0
-		for _, v := range votes {
-			total += v
-		}
-		want := len(m.Classes()) * (len(m.Classes()) - 1) / 2
-		if total != want {
-			t.Fatalf("vote total %d, want %d", total, want)
+		if got := m.PredictAmong(x, []int{2, 4}); got != 2 && got != 4 {
+			t.Fatalf("PredictAmong({2, 4}) = %d at %v", got, x)
 		}
 	}
 }

@@ -221,7 +221,7 @@ func TestMultiClassThreeClusters(t *testing.T) {
 }
 
 func TestMultiClassValidation(t *testing.T) {
-	k := Linear{}
+	k := RBF{Gamma: 1}
 	if _, err := TrainMultiClass(k, [][]float64{{1}}, []int{1}, DefaultSVCConfig()); err == nil {
 		t.Error("single-class multi-class accepted")
 	}
@@ -278,13 +278,6 @@ func TestGammaScale(t *testing.T) {
 	// variance ≈ 4, dim = 2 → gamma ≈ 1/8.
 	if g < 0.08 || g > 0.2 {
 		t.Errorf("GammaScale = %g, want ≈ 0.125", g)
-	}
-}
-
-func TestLinearKernel(t *testing.T) {
-	k := Linear{}
-	if got := k.Eval([]float64{1, 2, 3}, []float64{4, 5, 6}); got != 32 {
-		t.Errorf("Linear.Eval = %g, want 32", got)
 	}
 }
 
