@@ -119,7 +119,14 @@ cluster-smoke:
 	wait $$lg || { echo "cluster-smoke: load across drain+remove failed assertions" >&2; \
 		cat /tmp/cluster-smoke-bg.log >&2; exit 1; }; \
 	/tmp/echoimage-loadgen-cs -addr 127.0.0.1:17464 -users 4 -beeps 6 -duration 0 -verify \
-		|| { echo "cluster-smoke: users lost after drain+remove" >&2; exit 1; }; \
+		|| { echo "cluster-smoke: users lost after drain+remove" >&2; \
+			echo "--- router /cluster/rebalance" >&2; \
+			curl -sS http://127.0.0.1:18464/cluster/rebalance >&2; \
+			for a in 18475 18476 18477; do \
+				echo "--- shard admin 127.0.0.1:$$a /varz status and model" >&2; \
+				curl -sS http://127.0.0.1:$$a/varz | { command -v jq >/dev/null && jq '{status, model}' || cat; } >&2; \
+			done; \
+			exit 1; }; \
 	ls $$sd1/user-*.json >/dev/null 2>&1 \
 		|| { echo "cluster-smoke: drained shard flushed no user state" >&2; exit 1; }; \
 	if curl -fsS http://127.0.0.1:18464/cluster/shards | grep -q '"id": "s1"'; then \

@@ -21,12 +21,12 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
 	"math/rand"
-	"net"
 	"os"
 	"sort"
 	"sync"
@@ -88,11 +88,14 @@ func run() error {
 		authBodies[u] = raw
 	}
 
-	pool := &connPool{addr: *addr, timeout: *timeout}
-	defer pool.closeAll()
+	// Concurrency, not a fixed client count, sets the number of sockets,
+	// matching the open-loop model; at most -max-inflight of them are in
+	// use at once, so none beyond that needs to sit idle.
+	cl := &client{Pool: proto.NewPool(*addr, *timeout, *maxInflight), timeout: *timeout}
+	defer cl.CloseAll()
 
 	if *enroll {
-		if err := enrollAll(pool, *users, *enrollImages, *distance, *beeps, *seed); err != nil {
+		if err := enrollAll(cl, *users, *enrollImages, *distance, *beeps, *seed); err != nil {
 			return err
 		}
 	}
@@ -131,7 +134,7 @@ func run() error {
 			defer wg.Done()
 			defer inflight.Add(-1)
 			t0 := time.Now()
-			resp, err := pool.roundTrip(proto.TypeAuthRequest, user,
+			resp, err := cl.roundTrip(proto.TypeAuthRequest, user,
 				fmt.Sprintf("lg-%d-%d", os.Getpid(), reqSeq.Add(1)), authBodies[user])
 			elapsed := time.Since(t0).Nanoseconds()
 			mu.Lock()
@@ -198,7 +201,7 @@ func run() error {
 		return fmt.Errorf("no requests completed")
 	}
 	if *verify {
-		if err := verifyAll(pool, *users, authBodies, *verifyRetries); err != nil {
+		if err := verifyAll(cl, *users, authBodies, *verifyRetries); err != nil {
 			return err
 		}
 	}
@@ -210,7 +213,7 @@ func run() error {
 // backoff — after a shard handoff the successor may still be retraining,
 // which surfaces as a retryable refusal or a rejection until the model
 // converges. A user that never authenticates is reported as lost.
-func verifyAll(pool *connPool, users int, authBodies [][]byte, retries int) error {
+func verifyAll(cl *client, users int, authBodies [][]byte, retries int) error {
 	fmt.Fprintf(os.Stderr, "verifying %d users authenticate...\n", users)
 	if retries < 1 {
 		retries = 1
@@ -223,7 +226,7 @@ func verifyAll(pool *connPool, users int, authBodies [][]byte, retries int) erro
 			if attempt > 0 {
 				time.Sleep(500 * time.Millisecond)
 			}
-			resp, err := pool.roundTrip(proto.TypeAuthRequest, u,
+			resp, err := cl.roundTrip(proto.TypeAuthRequest, u,
 				fmt.Sprintf("lg-verify-%d-%d", u, attempt), authBodies[u])
 			if err != nil {
 				last = err.Error()
@@ -260,7 +263,7 @@ func verifyAll(pool *connPool, users int, authBodies [][]byte, retries int) erro
 // hint, not as an unhinted fan-out: through a router, a fan-out retrain
 // would also reach shards that own none of the enrolled users, and a
 // daemon with empty enrollment pools correctly refuses to train.
-func enrollAll(pool *connPool, users, images int, distance float64, beeps int, seed int64) error {
+func enrollAll(cl *client, users, images int, distance float64, beeps int, seed int64) error {
 	fmt.Fprintf(os.Stderr, "enrolling %d users x %d captures...\n", users, images)
 	seq := 0
 	for u := 1; u <= users; u++ {
@@ -282,7 +285,7 @@ func enrollAll(pool *connPool, users, images int, distance float64, beeps int, s
 				return err
 			}
 			seq++
-			if _, err := pool.roundTrip(proto.TypeEnrollRequest, u, fmt.Sprintf("lg-enroll-%d", seq), body); err != nil {
+			if _, err := cl.roundTrip(proto.TypeEnrollRequest, u, fmt.Sprintf("lg-enroll-%d", seq), body); err != nil {
 				return fmt.Errorf("enroll user %d: %w", u, err)
 			}
 		}
@@ -293,94 +296,37 @@ func enrollAll(pool *connPool, users, images int, distance float64, beeps int, s
 		return err
 	}
 	for u := 1; u <= users; u++ {
-		if _, err := pool.roundTrip(proto.TypeRetrainRequest, u, fmt.Sprintf("lg-retrain-%d", u), body); err != nil {
+		if _, err := cl.roundTrip(proto.TypeRetrainRequest, u, fmt.Sprintf("lg-retrain-%d", u), body); err != nil {
 			return fmt.Errorf("retrain (user %d's shard): %w", u, err)
 		}
 	}
 	return nil
 }
 
-// connPool is a free list of framed connections to the target; each
-// round trip checks one out (dialing when empty) and returns it on
-// success, so concurrency — not a fixed client count — sets the number
-// of sockets, matching the open-loop model.
-type connPool struct {
-	addr    string
+// client sends requests over pooled connections to the target.
+type client struct {
+	*proto.Pool
 	timeout time.Duration
-
-	mu   sync.Mutex
-	free []*pooledConn
-	all  map[*pooledConn]struct{}
-}
-
-type pooledConn struct {
-	conn net.Conn
-	pc   *proto.Conn
-}
-
-func (p *connPool) get() (*pooledConn, error) {
-	p.mu.Lock()
-	if n := len(p.free); n > 0 {
-		c := p.free[n-1]
-		p.free = p.free[:n-1]
-		p.mu.Unlock()
-		return c, nil
-	}
-	p.mu.Unlock()
-	conn, err := net.DialTimeout("tcp", p.addr, p.timeout)
-	if err != nil {
-		return nil, err
-	}
-	c := &pooledConn{conn: conn, pc: proto.NewConn(conn)}
-	p.mu.Lock()
-	if p.all == nil {
-		p.all = make(map[*pooledConn]struct{})
-	}
-	p.all[c] = struct{}{}
-	p.mu.Unlock()
-	return c, nil
-}
-
-func (p *connPool) put(c *pooledConn) {
-	p.mu.Lock()
-	p.free = append(p.free, c)
-	p.mu.Unlock()
-}
-
-func (p *connPool) discard(c *pooledConn) {
-	c.conn.Close()
-	p.mu.Lock()
-	delete(p.all, c)
-	p.mu.Unlock()
-}
-
-func (p *connPool) closeAll() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for c := range p.all {
-		c.conn.Close()
-	}
-	p.all, p.free = nil, nil
 }
 
 // roundTrip performs one framed request/response exchange with the
 // routing hint set. A transport failure discards the connection; an error
 // reply keeps it and is returned as a *proto.Error.
-func (p *connPool) roundTrip(msgType proto.MsgType, user int, reqID string, body []byte) (*proto.Envelope, error) {
-	c, err := p.get()
+func (c *client) roundTrip(msgType proto.MsgType, user int, reqID string, body []byte) (*proto.Envelope, error) {
+	conn, _, err := c.Get(context.Background())
 	if err != nil {
 		return nil, err
 	}
 	env := &proto.Envelope{Version: proto.Version, Type: msgType, RequestID: reqID, User: user, Body: body}
-	if p.timeout > 0 {
-		c.conn.SetDeadline(time.Now().Add(p.timeout))
+	if c.timeout > 0 {
+		conn.SetDeadline(time.Now().Add(c.timeout))
 	}
-	resp, err := c.pc.RoundTrip(env)
+	resp, err := conn.RoundTrip(env)
 	if err != nil {
-		p.discard(c)
+		conn.Close()
 		return nil, err
 	}
-	p.put(c)
+	c.Put(conn)
 	return resp, proto.ReplyError(resp)
 }
 

@@ -30,6 +30,7 @@ import (
 	"echoimage/internal/array"
 	"echoimage/internal/core"
 	"echoimage/internal/daemon"
+	"echoimage/internal/serve"
 	"echoimage/internal/telemetry"
 )
 
@@ -51,7 +52,7 @@ func run() error {
 	writeTimeout := flag.Duration("write-timeout", 30*time.Second, "per-response write deadline (0 = none)")
 	requestTimeout := flag.Duration("request-timeout", 0, "cancel a single request's pipeline work after this long (0 = no cap)")
 	queueWait := flag.Duration("queue-wait", daemon.DefaultQueueWait, "how long a capture may wait for a processing slot before being shed with code overloaded (negative = shed immediately)")
-	shutdownGrace := flag.Duration("shutdown-grace", daemon.DefaultShutdownGrace, "on SIGTERM, wait this long for in-flight connections to drain before force-closing them")
+	shutdownGrace := flag.Duration("shutdown-grace", serve.DefaultGrace, "on SIGTERM, wait this long for in-flight connections to drain before force-closing them")
 	adminAddr := flag.String("admin-addr", "", "serve /metrics, /varz, /healthz and /debug/pprof on this address (empty = disabled)")
 	flag.Parse()
 

@@ -94,10 +94,12 @@ func DefaultSuite() []Analyzer {
 				}},
 
 				// ── serving stack: telemetry, proto and retry are
-				// leaves; registry may use core + telemetry; only the
-				// daemon wires proto + registry + telemetry + core
-				// together. The cluster tier sits strictly above the
-				// daemon protocol: it may speak proto and retry and
+				// leaves; registry may use core + telemetry; serve, the
+				// protocol's server loop both tiers run, knows only
+				// proto + telemetry; only the daemon wires proto +
+				// registry + serve + telemetry + core together. The
+				// cluster tier sits strictly above the daemon protocol:
+				// it may speak proto and retry, run the serve loop and
 				// record telemetry, but must never import the daemon or
 				// the sensing pipeline — a router routes frames, it does
 				// not process captures. ──
@@ -109,15 +111,21 @@ func DefaultSuite() []Analyzer {
 					"echoimage/internal/core",
 					"echoimage/internal/telemetry",
 				}},
+				"echoimage/internal/serve": {AllowedProject: []string{
+					"echoimage/internal/proto",
+					"echoimage/internal/telemetry",
+				}},
 				"echoimage/internal/daemon": {AllowedProject: []string{
 					"echoimage/internal/core",
 					"echoimage/internal/proto",
 					"echoimage/internal/registry",
+					"echoimage/internal/serve",
 					"echoimage/internal/telemetry",
 				}},
 				"echoimage/internal/cluster": {AllowedProject: []string{
 					"echoimage/internal/proto",
 					"echoimage/internal/retry",
+					"echoimage/internal/serve",
 					"echoimage/internal/telemetry",
 				}},
 
@@ -143,7 +151,7 @@ func DefaultSuite() []Analyzer {
 		NewCtxDiscipline(),
 
 		NewErrCodes(ErrCodesConfig{
-			Packages:    []string{"echoimage/internal/daemon", "echoimage/internal/cluster"},
+			Packages:    []string{"echoimage/internal/daemon", "echoimage/internal/cluster", "echoimage/internal/serve"},
 			ProtoPath:   "echoimage/internal/proto",
 			CodePrefix:  "Code",
 			CodedFunc:   "coded",
@@ -154,7 +162,7 @@ func DefaultSuite() []Analyzer {
 		NewMetricNames(MetricNamesConfig{
 			RegistryPath: "echoimage/internal/telemetry",
 			RegistryType: "Registry",
-			Methods:      map[string]int{"Counter": 0, "Gauge": 0, "Histogram": 0},
+			Methods:      map[string]int{"Counter": 0, "Gauge": 0, "Histogram": 0, "CounterSet": 0, "HistogramSet": 0},
 			Pattern:      MetricNamePattern,
 		}),
 

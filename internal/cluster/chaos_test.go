@@ -159,6 +159,73 @@ func TestServeReturnsDespiteSilentShard(t *testing.T) {
 	}
 }
 
+// pipeListener hands out the server ends queued on conns, then blocks
+// until closed, so a test can serve a net.Pipe through Serve.
+type pipeListener struct {
+	conns  chan net.Conn
+	closed chan struct{}
+	once   sync.Once
+}
+
+func (l *pipeListener) Accept() (net.Conn, error) {
+	select {
+	case c := <-l.conns:
+		return c, nil
+	case <-l.closed:
+		return nil, net.ErrClosed
+	}
+}
+
+func (l *pipeListener) Close() error {
+	l.once.Do(func() { close(l.closed) })
+	return nil
+}
+
+func (l *pipeListener) Addr() net.Addr { return &net.TCPAddr{} }
+
+// TestServeBoundedWhenClientNeverReads: a client that sends a request
+// and never reads the reply pins the router's reply write, because the
+// zero Options set no write timeout. Cancelling Serve must still return
+// once the shutdown grace expires, force-closing that connection.
+func TestServeBoundedWhenClientNeverReads(t *testing.T) {
+	r := New(Options{})
+	t.Cleanup(r.Close)
+	r.loop.Grace = 50 * time.Millisecond
+	client, server := net.Pipe()
+	defer client.Close()
+	ln := &pipeListener{conns: make(chan net.Conn, 1), closed: make(chan struct{})}
+	ln.conns <- server
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	served := make(chan error, 1)
+	go func() { served <- r.Serve(ctx, ln) }()
+
+	env, err := proto.NewEnvelope(proto.TypeStatusRequest, "never-read", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := proto.WriteEnvelope(client, env); err != nil {
+		t.Fatal(err)
+	}
+	// With no shards the status is refused; the refusal is counted just
+	// before the reply is written into the pipe nobody reads.
+	refusals := r.met.serve.Errors.With(proto.CodeUnavailable)
+	for deadline := time.Now().Add(5 * time.Second); refusals.Value() == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("router never answered the status request")
+		}
+	}
+	cancel()
+	select {
+	case err := <-served:
+		if err != nil {
+			t.Errorf("Serve returned %v", err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("Serve still blocked 2s after cancellation, on a reply the client never reads")
+	}
+}
+
 // TestCloseReturnsDespiteSilentShard: a drain handoff whose source shard
 // never answers must not keep Close (which awaits handoff pipelines) from
 // returning under the zero Options.

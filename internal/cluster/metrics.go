@@ -4,20 +4,19 @@ import (
 	"sync"
 
 	"echoimage/internal/proto"
+	"echoimage/internal/serve"
 	"echoimage/internal/telemetry"
 )
 
-// routerMetrics is the router's instrumentation. Request types and
-// error codes are closed sets and pre-registered like the daemon's; the
-// shard set is dynamic (admin add/remove), so per-shard series are
+// routerMetrics is the router's instrumentation: the request loop's
+// series, pre-registered like the daemon's, plus routing and ring state.
+// The shard set is dynamic (admin add/remove), so per-shard series are
 // created lazily through a small mutex-guarded cache — the lock is per
 // first sighting of a shard, not per request.
 type routerMetrics struct {
-	connsActive *telemetry.Gauge
-	connsTotal  *telemetry.Counter
-	inflight    *telemetry.Gauge
-	failovers   *telemetry.Counter
-	redials     *telemetry.Counter
+	serve     serve.Metrics
+	failovers *telemetry.Counter
+	redials   *telemetry.Counter
 
 	partialFanouts  *telemetry.Counter
 	handoffUsers    *telemetry.Counter
@@ -27,13 +26,6 @@ type routerMetrics struct {
 	ringActive   *telemetry.Gauge
 	ringDraining *telemetry.Gauge
 	ringDown     *telemetry.Gauge
-
-	requests     map[proto.MsgType]*telemetry.Counter
-	requestsWild *telemetry.Counter
-	latency      map[proto.MsgType]*telemetry.Histogram
-	latencyWild  *telemetry.Histogram
-	errors       map[string]*telemetry.Counter
-	errorsWild   *telemetry.Counter
 
 	tel *telemetry.Registry
 
@@ -45,35 +37,24 @@ type routerMetrics struct {
 
 // routedTypes are the request types the router serves; anything else is
 // answered unknown_type and lands in the "other" series.
-var routedTypes = []proto.MsgType{
-	proto.TypeEnrollRequest,
-	proto.TypeAuthRequest,
-	proto.TypeStatusRequest,
-	proto.TypeRetrainRequest,
-	proto.TypeModelInfoRequest,
-}
-
-// routerErrorCodes are the stable protocol codes the router may answer
-// with (its own refusals plus anything forwarded from a shard).
-var routerErrorCodes = []string{
-	proto.CodeBadRequest,
-	proto.CodeUnknownType,
-	proto.CodeNotTrained,
-	proto.CodeProcess,
-	proto.CodeTrain,
-	proto.CodeUnavailable,
-	proto.CodeOverloaded,
-	proto.CodeInternal,
+var routedTypes = []string{
+	string(proto.TypeEnrollRequest),
+	string(proto.TypeAuthRequest),
+	string(proto.TypeStatusRequest),
+	string(proto.TypeRetrainRequest),
+	string(proto.TypeModelInfoRequest),
 }
 
 func newRouterMetrics(tel *telemetry.Registry) *routerMetrics {
 	m := &routerMetrics{
-		connsActive: tel.Gauge("echoimage_router_connections_active",
-			"Currently open client connections."),
-		connsTotal: tel.Counter("echoimage_router_connections_total",
-			"Client connections accepted since start."),
-		inflight: tel.Gauge("echoimage_router_inflight_requests",
-			"Requests currently being routed."),
+		serve: serve.Metrics{
+			ConnsActive: tel.Gauge("echoimage_router_connections_active",
+				"Currently open client connections."),
+			ConnsTotal: tel.Counter("echoimage_router_connections_total",
+				"Client connections accepted since start."),
+			Inflight: tel.Gauge("echoimage_router_inflight_requests",
+				"Requests currently being routed."),
+		},
 		failovers: tel.Counter("echoimage_router_failovers_total",
 			"Requests retried on a later ring candidate after a retryable shard failure."),
 		redials: tel.Counter("echoimage_router_redials_total",
@@ -92,54 +73,18 @@ func newRouterMetrics(tel *telemetry.Registry) *routerMetrics {
 			"Ring membership by serving state.", telemetry.L("state", string(StateDraining))),
 		ringDown: tel.Gauge("echoimage_router_ring_shards",
 			"Ring membership by serving state.", telemetry.L("state", string(StateDown))),
-		requests:      make(map[proto.MsgType]*telemetry.Counter, len(routedTypes)),
-		latency:       make(map[proto.MsgType]*telemetry.Histogram, len(routedTypes)),
-		errors:        make(map[string]*telemetry.Counter, len(routerErrorCodes)),
 		tel:           tel,
 		shardRequests: make(map[string]*telemetry.Counter),
 		shardErrors:   make(map[string]*telemetry.Counter),
 		shardLatency:  make(map[string]*telemetry.Histogram),
 	}
-	const (
-		reqName = "echoimage_router_requests_total"
-		reqHelp = "Requests routed, by protocol message type."
-		latName = "echoimage_router_request_seconds"
-		latHelp = "End-to-end routing latency, by protocol message type."
-		errName = "echoimage_router_errors_total"
-		errHelp = "Error responses returned to clients, by stable protocol error code."
-	)
-	for _, t := range routedTypes {
-		m.requests[t] = tel.Counter(reqName, reqHelp, telemetry.L("type", string(t)))
-		m.latency[t] = tel.Histogram(latName, latHelp, nil, telemetry.L("type", string(t)))
-	}
-	m.requestsWild = tel.Counter(reqName, reqHelp, telemetry.L("type", "other"))
-	m.latencyWild = tel.Histogram(latName, latHelp, nil, telemetry.L("type", "other"))
-	for _, c := range routerErrorCodes {
-		m.errors[c] = tel.Counter(errName, errHelp, telemetry.L("code", c))
-	}
-	m.errorsWild = tel.Counter(errName, errHelp, telemetry.L("code", "other"))
+	m.serve.Requests = tel.CounterSet("echoimage_router_requests_total",
+		"Requests routed, by protocol message type.", "type", routedTypes...)
+	m.serve.Latency = tel.HistogramSet("echoimage_router_request_seconds",
+		"End-to-end routing latency, by protocol message type.", "type", routedTypes...)
+	m.serve.Errors = tel.CounterSet("echoimage_router_errors_total",
+		"Error responses returned to clients, by stable protocol error code.", "code", proto.Codes...)
 	return m
-}
-
-func (m *routerMetrics) requestCounter(t proto.MsgType) *telemetry.Counter {
-	if c := m.requests[t]; c != nil {
-		return c
-	}
-	return m.requestsWild
-}
-
-func (m *routerMetrics) requestLatency(t proto.MsgType) *telemetry.Histogram {
-	if h := m.latency[t]; h != nil {
-		return h
-	}
-	return m.latencyWild
-}
-
-func (m *routerMetrics) errorCounter(code string) *telemetry.Counter {
-	if c := m.errors[code]; c != nil {
-		return c
-	}
-	return m.errorsWild
 }
 
 func (m *routerMetrics) shardRequestCounter(shard string) *telemetry.Counter {

@@ -2,10 +2,8 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"sort"
 	"sync"
@@ -14,6 +12,7 @@ import (
 
 	"echoimage/internal/proto"
 	"echoimage/internal/retry"
+	"echoimage/internal/serve"
 	"echoimage/internal/telemetry"
 )
 
@@ -33,9 +32,6 @@ type Options struct {
 	// UpstreamTimeout bounds one upstream round trip (send + receive).
 	// 0 disables.
 	UpstreamTimeout time.Duration
-	// PoolSize bounds each shard's idle connection pool; 0 means the
-	// package default.
-	PoolSize int
 	// ReadTimeout is the per-message idle deadline on client
 	// connections. 0 disables.
 	ReadTimeout time.Duration
@@ -69,6 +65,7 @@ type Router struct {
 	logf  func(string, ...any)
 	tel   *telemetry.Registry
 	met   *routerMetrics
+	loop  *serve.Server
 
 	ring atomic.Pointer[Ring]
 
@@ -79,7 +76,7 @@ type Router struct {
 	stop    context.CancelFunc
 
 	poolMu sync.Mutex
-	pools  map[string]*pool // guarded by poolMu
+	pools  map[string]*proto.Pool // guarded by poolMu
 
 	hoMu     sync.Mutex
 	handoffs map[string]*Handoff // guarded by hoMu
@@ -115,8 +112,15 @@ func New(opts Options) *Router {
 		logf:     logf,
 		tel:      tel,
 		met:      newRouterMetrics(tel),
-		pools:    make(map[string]*pool),
+		pools:    make(map[string]*proto.Pool),
 		handoffs: make(map[string]*Handoff),
+	}
+	r.loop = &serve.Server{
+		Handle:       r.route,
+		Metrics:      r.met.serve,
+		ReadTimeout:  opts.ReadTimeout,
+		WriteTimeout: opts.WriteTimeout,
+		Logf:         func(format string, args ...any) { logf("cluster: "+format, args...) },
 	}
 	//echoimage:lint-ignore ctxdiscipline drain handoffs are rooted at the router's lifetime, not a request: they outlive the admin POST that starts them and stop on Close
 	r.lifeCtx, r.stop = context.WithCancel(context.Background())
@@ -132,14 +136,14 @@ func (r *Router) Close() {
 	r.stop()
 	r.hoWg.Wait()
 	r.poolMu.Lock()
-	pools := make([]*pool, 0, len(r.pools))
+	pools := make([]*proto.Pool, 0, len(r.pools))
 	for _, p := range r.pools {
 		pools = append(pools, p)
 	}
-	r.pools = make(map[string]*pool)
+	r.pools = make(map[string]*proto.Pool)
 	r.poolMu.Unlock()
 	for _, p := range pools {
-		p.closeAll()
+		p.CloseAll()
 	}
 }
 
@@ -196,7 +200,7 @@ func (r *Router) RemoveShard(id string, force bool) error {
 	delete(r.pools, id)
 	r.poolMu.Unlock()
 	if p != nil {
-		p.closeAll()
+		p.CloseAll()
 	}
 	r.logf("cluster: shard %s removed", id)
 	return nil
@@ -251,157 +255,48 @@ func (r *Router) rebuild() {
 // shardPool returns (creating if needed) the connection pool for a
 // shard. The pool is keyed by shard ID and pinned to the address the
 // shard had at creation; Remove+Add is the way to move a shard.
-func (r *Router) shardPool(id, addr string) *pool {
+func (r *Router) shardPool(id, addr string) *proto.Pool {
 	r.poolMu.Lock()
 	defer r.poolMu.Unlock()
 	p := r.pools[id]
 	if p == nil {
-		p = newPool(addr, r.opts.DialTimeout, r.opts.PoolSize)
+		p = proto.NewPool(addr, r.opts.DialTimeout, proto.DefaultMaxIdle)
 		r.pools[id] = p
 	}
 	return p
 }
 
-// routeError pairs a failure with its stable protocol code, mirroring
-// the daemon's srvError so refusals synthesized by the router carry the
-// same code vocabulary clients already branch on.
-type routeError struct {
-	code string
-	err  error
-}
-
-func (e *routeError) Error() string { return e.err.Error() }
-func (e *routeError) Unwrap() error { return e.err }
-
-func coded(code string, err error) *routeError { return &routeError{code: code, err: err} }
-
-// errorCode extracts the stable code from a routing failure, defaulting
-// to internal.
-func errorCode(err error) string {
-	var re *routeError
-	if errors.As(err, &re) {
-		return re.code
-	}
-	return proto.CodeInternal
-}
+// coded pairs a failure with its stable protocol code, so refusals the
+// router synthesizes carry the code vocabulary clients already branch on.
+func coded(code string, err error) *serve.Error { return &serve.Error{Code: code, Err: err} }
 
 // retryableErr reports whether a candidate attempt may fail over: any
 // transport-level failure (dial, send, receive — the connection state is
 // unknown, but the next candidate is a different process) or an in-band
 // refusal with a retryable code.
 func retryableErr(err error) bool {
-	var re *routeError
-	if errors.As(err, &re) {
-		return proto.RetryableCode(re.code)
+	var se *serve.Error
+	if errors.As(err, &se) {
+		return proto.RetryableCode(se.Code)
 	}
 	return true
 }
 
-// Serve accepts client connections until the context is cancelled; it
-// mirrors the daemon's accept/drain loop so SIGTERM semantics match
-// across the serving tier.
+// Serve accepts client connections until the context is cancelled, on
+// the same loop as echoimaged, so SIGTERM semantics match across the
+// serving tier: in-flight requests finish, and connections still open
+// after serve.DefaultGrace are force-closed.
 func (r *Router) Serve(ctx context.Context, ln net.Listener) error {
-	var wg sync.WaitGroup
-	done := make(chan struct{})
-	defer close(done)
-	go func() {
-		select {
-		case <-ctx.Done():
-			ln.Close()
-		case <-done:
-		}
-	}()
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			if ctx.Err() != nil {
-				wg.Wait()
-				return nil
-			}
-			wg.Wait()
-			return fmt.Errorf("cluster: accept: %w", err)
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer conn.Close()
-			r.ServeConn(ctx, conn)
-		}()
-	}
-}
-
-// ServeConn runs one client connection's request loop: read, route,
-// answer with the request ID echoed. Transport errors drop the
-// connection; routing failures answer in-band with a stable code.
-func (r *Router) ServeConn(ctx context.Context, conn net.Conn) {
-	r.met.connsTotal.Inc()
-	r.met.connsActive.Inc()
-	defer r.met.connsActive.Dec()
-	pc := proto.NewConn(conn)
-	stop := context.AfterFunc(ctx, func() { conn.SetReadDeadline(time.Now()) })
-	defer stop()
-	for {
-		if ctx.Err() != nil {
-			return
-		}
-		if r.opts.ReadTimeout > 0 {
-			conn.SetReadDeadline(time.Now().Add(r.opts.ReadTimeout))
-			if ctx.Err() != nil {
-				conn.SetReadDeadline(time.Now())
-			}
-		}
-		env, err := pc.Receive()
-		if err != nil {
-			if !errors.Is(err, io.EOF) && ctx.Err() == nil {
-				r.logf("cluster: receive: %v", err)
-			}
-			return
-		}
-		start := time.Now()
-		r.met.inflight.Inc()
-		resp, herr := r.route(ctx, env)
-		r.met.inflight.Dec()
-		r.met.requestCounter(env.Type).Inc()
-		r.met.requestLatency(env.Type).ObserveDuration(time.Since(start))
-		if herr != nil {
-			code := errorCode(herr)
-			r.met.errorCounter(code).Inc()
-			r.logf("cluster: %s: %v", env.Type, herr)
-			resp = reply(env, proto.TypeError)
-			raw, merr := json.Marshal(proto.ErrorResponse{Code: code, Message: herr.Error()})
-			if merr != nil {
-				r.logf("cluster: encode error response: %v", merr)
-				return
-			}
-			resp.Body = raw
-		}
-		if r.opts.WriteTimeout > 0 {
-			conn.SetWriteDeadline(time.Now().Add(r.opts.WriteTimeout))
-		}
-		if err := pc.SendEnvelope(resp); err != nil {
-			if ctx.Err() == nil {
-				r.logf("cluster: send: %v", err)
-			}
-			return
-		}
-	}
-}
-
-// reply shapes a response envelope for a request, mirroring the daemon:
-// the router's version and the request's ID echoed.
-func reply(req *proto.Envelope, msgType proto.MsgType) *proto.Envelope {
-	return &proto.Envelope{Version: proto.Version, RequestID: req.RequestID, Type: msgType}
+	return r.loop.Serve(ctx, ln)
 }
 
 // route dispatches one request: user-keyed types go to the owning shard
 // with failover, model-wide types without a user hint fan out to every
 // shard and aggregate. The response envelope from a shard is forwarded
 // verbatim (request_id preserved by the shard's own echo). The router
-// reads only the envelope; it never decodes a request body.
-func (r *Router) route(ctx context.Context, env *proto.Envelope) (*proto.Envelope, error) {
-	if err := proto.CheckVersion(env); err != nil {
-		return nil, coded(proto.CodeBadRequest, err)
-	}
+// reads only the envelope; it never decodes a request body. It is the
+// serving loop's handler; the router keeps no request traces.
+func (r *Router) route(ctx context.Context, env *proto.Envelope, _ *telemetry.Trace) (*proto.Envelope, error) {
 	switch env.Type {
 	case proto.TypeEnrollRequest, proto.TypeAuthRequest:
 		if env.User == 0 {
@@ -503,9 +398,9 @@ var errExhausted = errors.New("candidate shards exhausted")
 // roundTrip performs one request/response exchange against a shard over
 // a pooled connection. Any transport failure retires the connection and
 // returns a plain (non-coded, hence retryable) error. In-band error
-// responses are classified: retryable codes surface as routeErrors so
-// failover engages, everything else is returned as the shard's verbatim
-// response for the client to see.
+// responses are classified: retryable codes surface as coded
+// *serve.Error values so failover engages, everything else is returned
+// as the shard's verbatim response for the client to see.
 //
 // A transport error on a *reused* pooled connection gets one same-shard
 // redial before the failure propagates: the daemon may have closed the
@@ -520,15 +415,15 @@ func (r *Router) roundTrip(ctx context.Context, shard *Shard, env *proto.Envelop
 
 func (r *Router) roundTripTimeout(ctx context.Context, shard *Shard, env *proto.Envelope, timeout time.Duration) (*proto.Envelope, error) {
 	p := r.shardPool(shard.ID, shard.Addr)
-	u, reused, err := p.get(ctx)
+	u, reused, err := p.Get(ctx)
 	if err != nil {
 		return nil, err
 	}
 	resp, err := r.exchange(ctx, p, u, shard, env, timeout)
-	var re *routeError
-	if err != nil && reused && !errors.As(err, &re) && ctx.Err() == nil {
+	var se *serve.Error
+	if err != nil && reused && !errors.As(err, &se) && ctx.Err() == nil {
 		r.met.redials.Inc()
-		u2, derr := p.dial(ctx)
+		u2, derr := p.Dial(ctx)
 		if derr != nil {
 			return nil, err // the shard is unreachable; report the original failure
 		}
@@ -544,24 +439,24 @@ func (r *Router) roundTripTimeout(ctx context.Context, shard *Shard, env *proto.
 // deadline, so a shard that accepts a request and never answers cannot
 // pin the caller (Serve's shutdown, Close's handoff wait) even when no
 // timeout is set.
-func (r *Router) exchange(ctx context.Context, p *pool, u *upstream, shard *Shard, env *proto.Envelope, timeout time.Duration) (*proto.Envelope, error) {
+func (r *Router) exchange(ctx context.Context, p *proto.Pool, u *proto.PoolConn, shard *Shard, env *proto.Envelope, timeout time.Duration) (*proto.Envelope, error) {
 	start := time.Now()
 	if timeout > 0 {
-		u.conn.SetDeadline(time.Now().Add(timeout))
+		u.SetDeadline(time.Now().Add(timeout))
 	}
-	stop := context.AfterFunc(ctx, func() { u.conn.SetDeadline(time.Now()) })
+	stop := context.AfterFunc(ctx, func() { u.SetDeadline(time.Now()) })
 	r.met.shardRequestCounter(shard.ID).Inc()
-	resp, err := u.pc.RoundTrip(env)
+	resp, err := u.RoundTrip(env)
 	expired := !stop()
 	r.met.shardLatencyHist(shard.ID).ObserveDuration(time.Since(start))
 	if err != nil {
-		u.close()
+		u.Close()
 		return nil, fmt.Errorf("cluster: round trip to shard %s: %w", shard.ID, err)
 	}
 	if expired {
-		u.close() // its deadline is already in the past
+		u.Close() // its deadline is already in the past
 	} else {
-		p.put(u)
+		p.Put(u)
 	}
 	if code := proto.ErrorCode(proto.ReplyError(resp)); proto.RetryableCode(code) {
 		return nil, coded(code, fmt.Errorf("shard %s refused: %s", shard.ID, code))
@@ -661,7 +556,6 @@ func (r *Router) fanout(ctx context.Context, env *proto.Envelope) (*proto.Envelo
 // aggregate merges fan-out responses into one client answer; degraded
 // marks a read aggregate built from a subset of member shards.
 func (r *Router) aggregate(req *proto.Envelope, resps []*proto.Envelope, degraded bool) (*proto.Envelope, error) {
-	out := reply(req, resps[0].Type)
 	var body any
 	switch req.Type {
 	case proto.TypeStatusRequest:
@@ -733,10 +627,5 @@ func (r *Router) aggregate(req *proto.Envelope, resps []*proto.Envelope, degrade
 		// Single-response types never reach aggregation.
 		return resps[0], nil
 	}
-	raw, err := json.Marshal(body)
-	if err != nil {
-		return nil, coded(proto.CodeInternal, fmt.Errorf("marshal aggregate %s: %w", req.Type, err))
-	}
-	out.Body = raw
-	return out, nil
+	return proto.NewEnvelope(resps[0].Type, req.RequestID, body)
 }

@@ -83,12 +83,6 @@ type Config struct {
 	// integrates away; geometric nuisances shift all bands coherently.
 	// 1 reproduces the paper's single full-band image.
 	ImagingSubBands int
-	// PlaneQuantizeM snaps the ranging output to a grid before it becomes
-	// the imaging plane distance, trading ranging-noise suppression for
-	// occasional bin-boundary jumps. 0 (the default) keeps the continuous
-	// estimate: the imaging plane then tracks the body, which keeps ring
-	// geometry self-aligned across captures.
-	PlaneQuantizeM float64
 
 	// CovLoading is the diagonal loading added to noise covariance
 	// estimates before inversion.
@@ -159,7 +153,6 @@ func DefaultConfig() Config {
 		PlaneCenterZM:         0,
 		SegmentGuardSec:       0.001,
 		ImagingSubBands:       1,
-		PlaneQuantizeM:        0,
 		CovLoading:            1e-2,
 		CovShrinkage:          1,
 		NoiseTailFrac:         0.25,

@@ -46,10 +46,10 @@ type ProcessResult struct {
 
 // ProcessRecordedContext runs ranging followed by imaging on a capture.
 // noiseOnly may be nil (noise statistics fall back to the window tails).
-// The imaging plane distance is the (optionally quantized) ranging
-// estimate. Ranging and the full-band imaging pass share one preprocessed
-// capture — the bandpass, analytic conversion and noise covariance are
-// computed once, not per stage.
+// The imaging plane distance is the ranging estimate, unquantized.
+// Ranging and the full-band imaging pass share one preprocessed capture —
+// the bandpass, analytic conversion and noise covariance are computed
+// once, not per stage.
 //
 // A non-nil recorder receives the preprocess, ranging and imaging
 // durations as they complete; a nil recorder adds no work to the hot
@@ -91,14 +91,7 @@ func (s *System) ProcessRecordedContext(ctx context.Context, cap *Capture, noise
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	plane := dist.UserM
-	if q := s.cfg.PlaneQuantizeM; q > 0 {
-		plane = float64(int(plane/q+0.5)) * q
-		if plane < q {
-			plane = q
-		}
-	}
-	imgs, err := s.constructAll(ctx, cap, plane, dist.EmissionSec, noiseOnly, pre)
+	imgs, err := s.constructAll(ctx, cap, dist.UserM, dist.EmissionSec, noiseOnly, pre)
 	if err != nil {
 		if cerr := ctx.Err(); cerr != nil {
 			return nil, cerr

@@ -13,6 +13,7 @@ import (
 	"context"
 	"errors"
 	"net"
+	"sync"
 	"testing"
 	"time"
 
@@ -51,7 +52,7 @@ func TestServeConnExitsOnCancelDespiteTraffic(t *testing.T) {
 	defer cancel()
 	served := make(chan struct{})
 	go func() {
-		srv.ServeConn(ctx, server)
+		srv.loop.ServeConn(ctx, server)
 		server.Close()
 		close(served)
 	}()
@@ -125,6 +126,56 @@ func TestServeShutdownDrainsBusyConnections(t *testing.T) {
 	}
 }
 
+// closeProbeListener runs onClose the first time it is closed, before
+// the underlying listener closes.
+type closeProbeListener struct {
+	net.Listener
+	once    sync.Once
+	onClose func()
+}
+
+func (l *closeProbeListener) Close() error {
+	l.once.Do(l.onClose)
+	return l.Listener.Close()
+}
+
+// TestUnhealthyBeforeListenerCloses checks the shutdown order a router's
+// prober relies on: by the time cancellation closes the listener, and so
+// by the time Serve returns, Healthy already reports the daemon as
+// shutting down.
+func TestUnhealthyBeforeListenerCloses(t *testing.T) {
+	srv := testServer(t, Options{})
+	tcp, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	atClose := make(chan error, 1)
+	ln := &closeProbeListener{Listener: tcp, onClose: func() { atClose <- srv.Healthy() }}
+	defer ln.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	serveDone := make(chan error, 1)
+	go func() { serveDone <- srv.Serve(ctx, ln) }()
+	if err := srv.Healthy(); err != nil {
+		t.Fatalf("serving daemon unhealthy: %v", err)
+	}
+
+	cancel()
+	select {
+	case err := <-serveDone:
+		if err != nil {
+			t.Fatalf("Serve returned %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Serve did not return after cancellation")
+	}
+	if srv.Healthy() == nil {
+		t.Error("Healthy reports ok after Serve returned from cancellation")
+	}
+	if err := <-atClose; err == nil {
+		t.Error("Healthy reported ok when the listener closed")
+	}
+}
+
 // TestRequestTimeoutCancelsPipeline saturates nothing and breaks nothing:
 // it simply configures a request deadline far smaller than capture
 // processing and proves the daemon answers in-band with the retryable
@@ -140,7 +191,7 @@ func TestRequestTimeoutCancelsPipeline(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	go func() {
-		srv.ServeConn(ctx, server)
+		srv.loop.ServeConn(ctx, server)
 		server.Close()
 	}()
 
@@ -183,7 +234,7 @@ func TestOverloadShedsThenBackoffSucceeds(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	go func() {
-		srv.ServeConn(ctx, server)
+		srv.loop.ServeConn(ctx, server)
 		server.Close()
 	}()
 	pc := proto.NewConn(client)

@@ -8,19 +8,18 @@ package daemon
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net"
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"echoimage/internal/core"
 	"echoimage/internal/proto"
 	"echoimage/internal/registry"
+	"echoimage/internal/serve"
 	"echoimage/internal/telemetry"
 )
 
@@ -53,7 +52,7 @@ type Options struct {
 	QueueWait time.Duration
 	// ShutdownGrace is how long Serve waits, after cancellation, for
 	// in-flight connections to finish their current request before
-	// force-closing them. 0 means DefaultShutdownGrace.
+	// force-closing them. 0 means serve.DefaultGrace.
 	ShutdownGrace time.Duration
 	// Train overrides the registry training function (tests).
 	Train registry.TrainFunc
@@ -65,38 +64,25 @@ type Options struct {
 	Telemetry *telemetry.Registry
 }
 
-// Defaults for the admission-control and shutdown knobs (picked for an
-// interactive authentication budget: shed early, drain fast).
-const (
-	// DefaultQueueWait bounds the capture-slot wait when Options.QueueWait
-	// is zero. Proximity authentication is interactive; a request that
-	// cannot start processing within this budget is better answered
-	// `overloaded` now than queued into uselessness.
-	DefaultQueueWait = 2 * time.Second
-	// DefaultShutdownGrace bounds the post-cancellation connection drain
-	// when Options.ShutdownGrace is zero.
-	DefaultShutdownGrace = 10 * time.Second
-)
+// DefaultQueueWait bounds the capture-slot wait when Options.QueueWait is
+// zero. Proximity authentication is interactive; a request that cannot
+// start processing within this budget is better answered `overloaded`
+// now than queued into uselessness.
+const DefaultQueueWait = 2 * time.Second
 
 // Server is the daemon transport. Construct with New or NewWithOptions;
 // methods are safe for concurrent connections.
 type Server struct {
 	sys        *core.System
 	reg        *registry.Registry
-	logf       func(format string, args ...any)
-	readTO     time.Duration
-	writeTO    time.Duration
+	loop       *serve.Server
 	requestTO  time.Duration
 	queueWait  time.Duration
-	grace      time.Duration
 	captureSem chan struct{}
 	tel        *telemetry.Registry
 	met        serverMetrics
 	traces     *telemetry.TraceLog
 	stopping   atomic.Bool
-
-	connMu sync.Mutex
-	conns  map[net.Conn]struct{} // guarded by connMu
 }
 
 // NewWithOptions builds a server around a sensing pipeline; logf may be
@@ -118,11 +104,7 @@ func NewWithOptions(sys *core.System, authCfg core.AuthConfig, logf func(string,
 	if queueWait == 0 {
 		queueWait = DefaultQueueWait
 	}
-	grace := opts.ShutdownGrace
-	if grace <= 0 {
-		grace = DefaultShutdownGrace
-	}
-	return &Server{
+	s := &Server{
 		sys: sys,
 		reg: registry.New(authCfg, registry.Options{
 			ModelPath: opts.ModelPath,
@@ -131,18 +113,23 @@ func NewWithOptions(sys *core.System, authCfg core.AuthConfig, logf func(string,
 			Logf:      logf,
 			Telemetry: tel,
 		}),
-		logf:       logf,
-		readTO:     opts.ReadTimeout,
-		writeTO:    opts.WriteTimeout,
 		requestTO:  opts.RequestTimeout,
 		queueWait:  queueWait,
-		grace:      grace,
 		captureSem: make(chan struct{}, maxCap),
 		tel:        tel,
 		met:        newServerMetrics(tel),
 		traces:     telemetry.NewTraceLog(traceCapacity),
-		conns:      make(map[net.Conn]struct{}),
 	}
+	s.loop = &serve.Server{
+		Handle:       s.handle,
+		Metrics:      s.met.serve,
+		Traces:       s.traces,
+		ReadTimeout:  opts.ReadTimeout,
+		WriteTimeout: opts.WriteTimeout,
+		Grace:        opts.ShutdownGrace,
+		Logf:         func(format string, args ...any) { logf("daemon: "+format, args...) },
+	}
+	return s
 }
 
 // Registry exposes the model registry (status inspection, tests).
@@ -175,207 +162,39 @@ func (s *Server) Healthy() error {
 }
 
 // Serve accepts connections until the context is cancelled or the
-// listener fails. On cancellation it closes the listener, lets in-flight
-// connections finish their current request (ServeConn observes the
-// cancellation before reading another), and force-closes any connection
-// still alive after the shutdown grace period, so Serve always returns
-// within roughly Options.ShutdownGrace of the cancellation.
+// listener fails; the shared loop of internal/serve drains them within
+// Options.ShutdownGrace of the cancellation. The loop sees the
+// cancellation only after Healthy answers unhealthy, so /healthz already
+// fails when the listener closes.
 func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
-	var wg sync.WaitGroup
-	done := make(chan struct{})
-	defer close(done)
-	go func() {
-		select {
-		case <-ctx.Done():
-			s.stopping.Store(true)
-			ln.Close()
-		case <-done:
-		}
-	}()
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			if ctx.Err() != nil {
-				s.drain(&wg)
-				return nil
-			}
-			wg.Wait()
-			return fmt.Errorf("daemon: accept: %w", err)
-		}
-		s.trackConn(conn, true)
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer s.trackConn(conn, false)
-			defer conn.Close()
-			s.ServeConn(ctx, conn)
-		}()
-	}
-}
-
-// drain waits up to the shutdown grace period for connection goroutines,
-// then force-closes the stragglers and waits for them to unwind.
-func (s *Server) drain(wg *sync.WaitGroup) {
-	idle := make(chan struct{})
-	go func() {
-		wg.Wait()
-		close(idle)
-	}()
-	timer := time.NewTimer(s.grace)
-	defer timer.Stop()
-	select {
-	case <-idle:
-		return
-	case <-timer.C:
-	}
-	s.connMu.Lock()
-	n := len(s.conns)
-	for conn := range s.conns {
-		conn.Close()
-	}
-	s.connMu.Unlock()
-	if n > 0 {
-		s.logf("daemon: shutdown grace %v expired, force-closed %d connections", s.grace, n)
-	}
-	<-idle
-}
-
-func (s *Server) trackConn(conn net.Conn, add bool) {
-	s.connMu.Lock()
-	if add {
-		s.conns[conn] = struct{}{}
-	} else {
-		delete(s.conns, conn)
-	}
-	s.connMu.Unlock()
-}
-
-// deadlineConn is the subset of net.Conn the transport needs for
-// timeouts; loopback test pipes satisfy it, plain io.ReadWriter pairs
-// silently skip deadlines.
-type deadlineConn interface {
-	SetReadDeadline(t time.Time) error
-	SetWriteDeadline(t time.Time) error
-}
-
-// srvError pairs a failure with its stable protocol code.
-type srvError struct {
-	code string
-	err  error
-}
-
-func (e *srvError) Error() string { return e.err.Error() }
-func (e *srvError) Unwrap() error { return e.err }
-
-func coded(code string, err error) *srvError { return &srvError{code: code, err: err} }
-
-// ServeConn handles one connection's request loop under ctx: each request
-// is read (under the idle deadline), dispatched under a per-request
-// context (connection context capped by Options.RequestTimeout), and
-// answered with the client's request ID echoed. Errors are answered
-// in-band with a stable code; only transport failures drop the
-// connection. Cancelling ctx wins over the idle-deadline re-arm: the loop
-// observes the cancellation before reading another request, so an
-// actively-sending connection still drains promptly on shutdown.
-func (s *Server) ServeConn(ctx context.Context, conn io.ReadWriter) {
-	s.met.connsTotal.Inc()
-	s.met.connsActive.Inc()
-	defer s.met.connsActive.Dec()
-	pc := proto.NewConn(conn)
-	dl, hasDeadlines := conn.(deadlineConn)
-	// A connection accepted before shutdown may outlive ctx; cap reads so
-	// the serve loop notices cancellation instead of blocking forever.
+	loopCtx, cancel := context.WithCancel(context.WithoutCancel(ctx))
+	defer cancel()
 	stop := context.AfterFunc(ctx, func() {
-		if hasDeadlines {
-			dl.SetReadDeadline(time.Now())
-		}
+		s.stopping.Store(true)
+		cancel()
 	})
 	defer stop()
-	for {
-		if ctx.Err() != nil {
-			return
-		}
-		if hasDeadlines && s.readTO > 0 {
-			dl.SetReadDeadline(time.Now().Add(s.readTO))
-			// The AfterFunc's immediate deadline may have fired between
-			// the check above and the re-arm, in which case the re-arm
-			// just erased it. Re-assert so cancellation always wins and
-			// the idle deadline can never push shutdown out.
-			if ctx.Err() != nil {
-				dl.SetReadDeadline(time.Now())
-			}
-		}
-		env, err := pc.Receive()
-		if err != nil {
-			if !errors.Is(err, io.EOF) && ctx.Err() == nil {
-				s.logf("daemon: receive: %v", err)
-			}
-			return
-		}
-		// Each request gets a trace keyed by its request ID; the stage
-		// recorder feeds both the shared latency histograms and the trace.
-		// The request context inherits the connection's (cancelled on
-		// shutdown) and is capped by the request timeout, so a slow or
-		// abandoned request stops burning pipeline CPU.
-		start := time.Now()
-		tr := telemetry.NewTrace(env.RequestID, string(env.Type))
-		reqCtx, cancelReq := s.requestContext(ctx)
-		s.met.inflight.Inc()
-		resp, herr := s.handle(reqCtx, env, &stageRecorder{stages: s.met.stages, tr: tr})
-		s.met.inflight.Dec()
-		cancelReq()
-		s.met.requestCounter(env.Type).Inc()
-		s.met.requestLatency(env.Type).ObserveDuration(time.Since(start))
-		var errCode string
-		if herr != nil {
-			errCode = proto.CodeInternal
-			var se *srvError
-			if errors.As(herr, &se) {
-				errCode = se.code
-			}
-			s.met.errorCounter(errCode).Inc()
-			s.logf("daemon: %s: %v", env.Type, herr)
-			resp = reply(env, proto.TypeError)
-			if resp, err = withBody(resp, proto.ErrorResponse{Code: errCode, Message: herr.Error()}); err != nil {
-				s.logf("daemon: encode error response: %v", err)
-				return
-			}
-		}
-		s.traces.Add(tr.Finish(errCode))
-		if hasDeadlines && s.writeTO > 0 {
-			dl.SetWriteDeadline(time.Now().Add(s.writeTO))
-		}
-		if err := pc.SendEnvelope(resp); err != nil {
-			if ctx.Err() == nil {
-				s.logf("daemon: send: %v", err)
-			}
-			return
-		}
-	}
+	return s.loop.Serve(loopCtx, ln)
 }
 
-// reply shapes a response envelope for a request: the daemon's version
-// and the request's ID echoed.
-func reply(req *proto.Envelope, msgType proto.MsgType) *proto.Envelope {
-	return &proto.Envelope{Version: proto.Version, RequestID: req.RequestID, Type: msgType}
-}
+// coded pairs a failure with its stable protocol code.
+func coded(code string, err error) *serve.Error { return &serve.Error{Code: code, Err: err} }
 
-func withBody(env *proto.Envelope, body any) (*proto.Envelope, error) {
-	raw, err := json.Marshal(body)
-	if err != nil {
-		return nil, coded(proto.CodeInternal, fmt.Errorf("marshal %s body: %w", env.Type, err))
+// handle is the loop's handler: it dispatches one request and returns
+// the response envelope, or an error carrying a stable code for the
+// in-band error reply. The request runs under its own context (the
+// connection's, capped by Options.RequestTimeout, so a slow or abandoned
+// request stops burning pipeline CPU) with a stage recorder feeding both
+// the shared stage histograms and the request's trace.
+func (s *Server) handle(ctx context.Context, env *proto.Envelope, tr *telemetry.Trace) (*proto.Envelope, error) {
+	var cancel context.CancelFunc
+	if s.requestTO > 0 {
+		ctx, cancel = context.WithTimeout(ctx, s.requestTO)
+	} else {
+		ctx, cancel = context.WithCancel(ctx)
 	}
-	env.Body = raw
-	return env, nil
-}
-
-// handle dispatches one request and returns the response envelope. The
-// returned error carries a stable code for the in-band error reply. rec
-// receives pipeline stage timings for capture-processing requests.
-func (s *Server) handle(ctx context.Context, env *proto.Envelope, rec core.StageRecorder) (*proto.Envelope, error) {
-	if err := proto.CheckVersion(env); err != nil {
-		return nil, coded(proto.CodeBadRequest, err)
-	}
+	defer cancel()
+	rec := &stageRecorder{stages: s.met.stages, tr: tr}
 	switch env.Type {
 	case proto.TypeEnrollRequest:
 		var req proto.EnrollRequest
@@ -393,7 +212,7 @@ func (s *Server) handle(ctx context.Context, env *proto.Envelope, rec core.Stage
 		if err != nil {
 			return nil, err
 		}
-		return withBody(reply(env, proto.TypeEnrollResponse), resp)
+		return proto.NewEnvelope(proto.TypeEnrollResponse, env.RequestID, resp)
 	case proto.TypeAuthRequest:
 		var req proto.AuthRequest
 		if err := proto.DecodeBody(env, &req); err != nil {
@@ -403,9 +222,9 @@ func (s *Server) handle(ctx context.Context, env *proto.Envelope, rec core.Stage
 		if err != nil {
 			return nil, err
 		}
-		return withBody(reply(env, proto.TypeAuthResponse), resp)
+		return proto.NewEnvelope(proto.TypeAuthResponse, env.RequestID, resp)
 	case proto.TypeStatusRequest:
-		return withBody(reply(env, proto.TypeStatusResponse), s.Status())
+		return proto.NewEnvelope(proto.TypeStatusResponse, env.RequestID, s.Status())
 	case proto.TypeRetrainRequest:
 		var req proto.RetrainRequest
 		if len(env.Body) > 0 {
@@ -417,9 +236,9 @@ func (s *Server) handle(ctx context.Context, env *proto.Envelope, rec core.Stage
 		if err != nil {
 			return nil, err
 		}
-		return withBody(reply(env, proto.TypeRetrainResponse), resp)
+		return proto.NewEnvelope(proto.TypeRetrainResponse, env.RequestID, resp)
 	case proto.TypeModelInfoRequest:
-		return withBody(reply(env, proto.TypeModelInfoResponse), s.ModelInfo())
+		return proto.NewEnvelope(proto.TypeModelInfoResponse, env.RequestID, s.ModelInfo())
 	case proto.TypeHandoffRequest:
 		var req proto.HandoffRequest
 		if err := proto.DecodeBody(env, &req); err != nil {
@@ -429,19 +248,10 @@ func (s *Server) handle(ctx context.Context, env *proto.Envelope, rec core.Stage
 		if err != nil {
 			return nil, err
 		}
-		return withBody(reply(env, proto.TypeHandoffResponse), resp)
+		return proto.NewEnvelope(proto.TypeHandoffResponse, env.RequestID, resp)
 	default:
 		return nil, coded(proto.CodeUnknownType, fmt.Errorf("unknown message type %q", env.Type))
 	}
-}
-
-// requestContext derives the per-request context from the connection
-// context, capped by the request timeout when one is configured.
-func (s *Server) requestContext(ctx context.Context) (context.Context, context.CancelFunc) {
-	if s.requestTO > 0 {
-		return context.WithTimeout(ctx, s.requestTO)
-	}
-	return context.WithCancel(ctx)
 }
 
 // process runs the sensing pipeline on a capture under the concurrency

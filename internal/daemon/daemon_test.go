@@ -63,7 +63,7 @@ func serveConn(t *testing.T, srv *Server) *proto.Conn {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})
 	go func() {
-		srv.ServeConn(ctx, server)
+		srv.loop.ServeConn(ctx, server)
 		server.Close()
 		close(done)
 	}()
@@ -244,6 +244,17 @@ func TestVersionMismatchRefused(t *testing.T) {
 		if resp.Version != proto.Version {
 			t.Errorf("version %d refusal carries version %d", v, resp.Version)
 		}
+	}
+	// The refusal happens before the handler runs, yet each refused
+	// request still leaves a trace carrying its code.
+	refused := map[string]bool{}
+	for _, tr := range srv.Traces().Recent() {
+		if tr.Type == string(proto.TypeEnrollRequest) && tr.Error == proto.CodeBadRequest {
+			refused[tr.RequestID] = true
+		}
+	}
+	if !refused["v0"] || !refused["v3"] {
+		t.Errorf("traces of refused requests: %v, want v0 and v3", refused)
 	}
 	if st := srv.Status(); st.TotalImages != 0 || st.Trained {
 		t.Errorf("refused enrolls did work: %+v", st)

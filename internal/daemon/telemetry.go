@@ -5,6 +5,7 @@ import (
 
 	"echoimage/internal/core"
 	"echoimage/internal/proto"
+	"echoimage/internal/serve"
 	"echoimage/internal/telemetry"
 )
 
@@ -12,48 +13,26 @@ import (
 // for the admin /varz endpoint.
 const traceCapacity = 128
 
-// serverMetrics is the transport layer's instrumentation. Request types
-// and error codes are closed sets, so every labelled series is
-// registered up front and hot-path updates are map lookups over
-// immutable maps plus one atomic op — no locks, no allocation.
+// serverMetrics is the daemon's instrumentation: the request loop's
+// series plus admission control and the pipeline stages. Every labelled
+// series is registered up front, so hot-path updates are map lookups
+// over immutable maps plus one atomic op — no locks, no allocation.
 type serverMetrics struct {
-	connsActive *telemetry.Gauge
-	connsTotal  *telemetry.Counter
-	inflight    *telemetry.Gauge
-	queueDepth  *telemetry.Gauge
-	shedTotal   *telemetry.Counter
-
-	requests     map[proto.MsgType]*telemetry.Counter
-	requestsWild *telemetry.Counter
-	latency      map[proto.MsgType]*telemetry.Histogram
-	latencyWild  *telemetry.Histogram
-	errors       map[string]*telemetry.Counter
-	errorsWild   *telemetry.Counter
-
-	stages map[string]*telemetry.Histogram
+	serve      serve.Metrics
+	queueDepth *telemetry.Gauge
+	shedTotal  *telemetry.Counter
+	stages     map[string]*telemetry.Histogram
 }
 
 // requestTypes are the labelled request-type series; anything else
 // (a bogus type answered with unknown_type) lands in the "other" series.
-var requestTypes = []proto.MsgType{
-	proto.TypeEnrollRequest,
-	proto.TypeAuthRequest,
-	proto.TypeStatusRequest,
-	proto.TypeRetrainRequest,
-	proto.TypeModelInfoRequest,
-	proto.TypeHandoffRequest,
-}
-
-// errorCodes are the stable protocol error codes of internal/proto.
-var errorCodes = []string{
-	proto.CodeBadRequest,
-	proto.CodeUnknownType,
-	proto.CodeNotTrained,
-	proto.CodeProcess,
-	proto.CodeTrain,
-	proto.CodeUnavailable,
-	proto.CodeOverloaded,
-	proto.CodeInternal,
+var requestTypes = []string{
+	string(proto.TypeEnrollRequest),
+	string(proto.TypeAuthRequest),
+	string(proto.TypeStatusRequest),
+	string(proto.TypeRetrainRequest),
+	string(proto.TypeModelInfoRequest),
+	string(proto.TypeHandoffRequest),
 }
 
 // stageNames are the pipeline stages of internal/core, in order.
@@ -68,66 +47,31 @@ var stageNames = []string{
 
 func newServerMetrics(tel *telemetry.Registry) serverMetrics {
 	m := serverMetrics{
-		connsActive: tel.Gauge("echoimage_daemon_connections_active",
-			"Currently open client connections."),
-		connsTotal: tel.Counter("echoimage_daemon_connections_total",
-			"Client connections accepted since start."),
-		inflight: tel.Gauge("echoimage_daemon_inflight_requests",
-			"Requests currently being handled."),
+		serve: serve.Metrics{
+			ConnsActive: tel.Gauge("echoimage_daemon_connections_active",
+				"Currently open client connections."),
+			ConnsTotal: tel.Counter("echoimage_daemon_connections_total",
+				"Client connections accepted since start."),
+			Inflight: tel.Gauge("echoimage_daemon_inflight_requests",
+				"Requests currently being handled."),
+		},
 		queueDepth: tel.Gauge("echoimage_daemon_capture_queue_depth",
 			"Capture requests waiting for a processing slot."),
 		shedTotal: tel.Counter("echoimage_daemon_requests_shed_total",
 			"Capture requests shed with code overloaded because no processing slot freed within the queue-wait budget."),
-		requests: make(map[proto.MsgType]*telemetry.Counter, len(requestTypes)),
-		latency:  make(map[proto.MsgType]*telemetry.Histogram, len(requestTypes)),
-		errors:   make(map[string]*telemetry.Counter, len(errorCodes)),
-		stages:   make(map[string]*telemetry.Histogram, len(stageNames)),
+		stages: make(map[string]*telemetry.Histogram, len(stageNames)),
 	}
-	const (
-		reqName = "echoimage_daemon_requests_total"
-		reqHelp = "Requests handled, by protocol message type."
-		latName = "echoimage_daemon_request_seconds"
-		latHelp = "Request handling latency, by protocol message type."
-		errName = "echoimage_daemon_errors_total"
-		errHelp = "Error responses sent, by stable protocol error code."
-		stgName = "echoimage_pipeline_stage_seconds"
-		stgHelp = "Authentication pipeline stage latency, per stage."
-	)
-	for _, t := range requestTypes {
-		m.requests[t] = tel.Counter(reqName, reqHelp, telemetry.L("type", string(t)))
-		m.latency[t] = tel.Histogram(latName, latHelp, nil, telemetry.L("type", string(t)))
-	}
-	m.requestsWild = tel.Counter(reqName, reqHelp, telemetry.L("type", "other"))
-	m.latencyWild = tel.Histogram(latName, latHelp, nil, telemetry.L("type", "other"))
-	for _, c := range errorCodes {
-		m.errors[c] = tel.Counter(errName, errHelp, telemetry.L("code", c))
-	}
-	m.errorsWild = tel.Counter(errName, errHelp, telemetry.L("code", "other"))
+	m.serve.Requests = tel.CounterSet("echoimage_daemon_requests_total",
+		"Requests handled, by protocol message type.", "type", requestTypes...)
+	m.serve.Latency = tel.HistogramSet("echoimage_daemon_request_seconds",
+		"Request handling latency, by protocol message type.", "type", requestTypes...)
+	m.serve.Errors = tel.CounterSet("echoimage_daemon_errors_total",
+		"Error responses sent, by stable protocol error code.", "code", proto.Codes...)
 	for _, s := range stageNames {
-		m.stages[s] = tel.Histogram(stgName, stgHelp, nil, telemetry.L("stage", s))
+		m.stages[s] = tel.Histogram("echoimage_pipeline_stage_seconds",
+			"Authentication pipeline stage latency, per stage.", nil, telemetry.L("stage", s))
 	}
 	return m
-}
-
-func (m *serverMetrics) requestCounter(t proto.MsgType) *telemetry.Counter {
-	if c := m.requests[t]; c != nil {
-		return c
-	}
-	return m.requestsWild
-}
-
-func (m *serverMetrics) requestLatency(t proto.MsgType) *telemetry.Histogram {
-	if h := m.latency[t]; h != nil {
-		return h
-	}
-	return m.latencyWild
-}
-
-func (m *serverMetrics) errorCounter(code string) *telemetry.Counter {
-	if c := m.errors[code]; c != nil {
-		return c
-	}
-	return m.errorsWild
 }
 
 // stageRecorder implements core.StageRecorder for one request: it feeds

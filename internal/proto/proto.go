@@ -79,6 +79,12 @@ const (
 	CodeInternal    = "internal"
 )
 
+// Codes lists every stable error code, for labelling per-code series.
+var Codes = []string{
+	CodeBadRequest, CodeUnknownType, CodeNotTrained, CodeProcess,
+	CodeTrain, CodeUnavailable, CodeOverloaded, CodeInternal,
+}
+
 // RetryableCode reports whether a stable error code marks a transient
 // failure worth retrying with backoff. The switch is exhaustive over the
 // code set on purpose — no default — so adding a code without deciding

@@ -249,6 +249,55 @@ func (r *Registry) Histogram(name, help string, buckets []float64, labels ...Lab
 	return r.lookup(name, help, kindHistogram, buckets, labels).hist
 }
 
+// LabelSet is one metric per value of a closed label set, plus an
+// "other" metric for every value outside it. A caller can label by a
+// value a peer chose (a request's type, an error code) without a bogus
+// value ever registering a new series.
+type LabelSet[M any] struct {
+	byValue map[string]M
+	other   M
+}
+
+// CounterSet and HistogramSet are the label sets the Registry builds.
+type (
+	CounterSet   = LabelSet[*Counter]
+	HistogramSet = LabelSet[*Histogram]
+)
+
+// With returns the metric for value, or the "other" metric when value is
+// not in the set.
+func (s *LabelSet[M]) With(value string) M {
+	if m, ok := s.byValue[value]; ok {
+		return m
+	}
+	return s.other
+}
+
+func newLabelSet[M any](key string, values []string, get func(Label) M) *LabelSet[M] {
+	s := &LabelSet[M]{byValue: make(map[string]M, len(values))}
+	for _, v := range values {
+		s.byValue[v] = get(L(key, v))
+	}
+	s.other = get(L(key, "other"))
+	return s
+}
+
+// CounterSet registers (or returns) the counters for name labelled
+// key=value, one per listed value plus key="other".
+func (r *Registry) CounterSet(name, help, key string, values ...string) *CounterSet {
+	return newLabelSet(key, values, func(l Label) *Counter {
+		return r.lookup(name, help, kindCounter, nil, []Label{l}).counter
+	})
+}
+
+// HistogramSet registers (or returns) the histograms for name labelled
+// key=value, one per listed value plus key="other", on DefBuckets.
+func (r *Registry) HistogramSet(name, help, key string, values ...string) *HistogramSet {
+	return newLabelSet(key, values, func(l Label) *Histogram {
+		return r.lookup(name, help, kindHistogram, DefBuckets, []Label{l}).hist
+	})
+}
+
 // SampleSnapshot is one labelled metric in a snapshot. Exactly one of
 // Value (counter/gauge) or Histogram is set.
 type SampleSnapshot struct {

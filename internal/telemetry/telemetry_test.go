@@ -159,6 +159,50 @@ func TestSnapshot(t *testing.T) {
 	}
 }
 
+// TestLabelSetRoutesUnlistedToOther checks that CounterSet and
+// HistogramSet register exactly one series per listed value plus
+// "other", that an unlisted value lands in "other", and that looking one
+// up registers nothing new.
+func TestLabelSetRoutesUnlistedToOther(t *testing.T) {
+	reg := NewRegistry()
+	cs := reg.CounterSet("req_total", "requests", "type", "a", "b")
+	hs := reg.HistogramSet("req_seconds", "latency", "type", "a", "b")
+	series := func() int {
+		n := 0
+		for _, f := range reg.Snapshot() {
+			n += len(f.Metrics)
+		}
+		return n
+	}
+	if got := series(); got != 6 {
+		t.Fatalf("%d series registered, want 6 (a, b, other per family)", got)
+	}
+
+	cs.With("a").Inc()
+	cs.With("bogus").Inc()
+	cs.With("").Inc()
+	hs.With("b").Observe(0.5)
+	hs.With("bogus").Observe(2)
+	if got := series(); got != 6 {
+		t.Errorf("%d series after unlisted lookups, want still 6", got)
+	}
+	if cs.With("a") != reg.Counter("req_total", "", L("type", "a")) {
+		t.Error(`CounterSet "a" is not the registry's series`)
+	}
+	if got := reg.Counter("req_total", "", L("type", "other")).Value(); got != 2 {
+		t.Errorf(`"other" counter %d, want 2`, got)
+	}
+	if got := cs.With("b").Value(); got != 0 {
+		t.Errorf(`"b" counter %d, want 0`, got)
+	}
+	if got := reg.Histogram("req_seconds", "", nil, L("type", "other")).Value().Count; got != 1 {
+		t.Errorf(`"other" histogram count %d, want 1`, got)
+	}
+	if got := hs.With("b").Value().Count; got != 1 {
+		t.Errorf(`"b" histogram count %d, want 1`, got)
+	}
+}
+
 func TestRegistryKindConflictPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
