@@ -137,11 +137,13 @@ cluster-smoke:
 	rm -rf $$sd0 $$sd1 $$sd2; \
 	echo "cluster-smoke: ok"
 
-# Short fuzz run over the protocol frame reader: proves Read never
-# panics on adversarial bytes and accepted frames round-trip. The corpus
-# grows under $GOCACHE/fuzz across runs.
+# Short fuzz runs over the protocol frame reader and the sample block
+# decoders: proves Read and UnmarshalText never panic on adversarial
+# bytes, accepted frames round-trip, and accepted blocks re-encode to
+# identical text. The corpus grows under $GOCACHE/fuzz across runs.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz=FuzzRead -fuzztime=10s ./internal/proto
+	$(GO) test -run '^$$' -fuzz=FuzzCaptureWire -fuzztime=10s ./internal/proto
 
 # Architectural-invariant gate: the project's own analyzer suite
 # (internal/analysis; rule table in README.md, invariants in DESIGN.md)

@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -79,12 +80,13 @@ func TestAuthWithoutHintRefused(t *testing.T) {
 
 // TestVersionMismatchRefused: the router answers an envelope of any
 // version but proto.Version in band with bad_request, echoing the request
-// ID, and forwards nothing.
+// ID, and forwards nothing. That includes a frame in the version 2
+// layout, whose body sits inside the envelope object.
 func TestVersionMismatchRefused(t *testing.T) {
 	f := newFakeShard(t, nil)
 	_, addr := startRouter(t, Options{Retry: fastRetry}, f)
 	c := dialRouter(t, addr)
-	for _, v := range []int{0, 3} {
+	for _, v := range []int{0, 2, 4} {
 		for _, msgType := range []proto.MsgType{proto.TypeAuthRequest, proto.TypeStatusRequest} {
 			env, err := proto.NewEnvelope(msgType, "v-"+itoa(v)+"-"+string(msgType), proto.AuthRequest{})
 			if err != nil {
@@ -96,6 +98,17 @@ func TestVersionMismatchRefused(t *testing.T) {
 				t.Errorf("version %d %s answered %s/%s, want bad_request", v, msgType, resp.Type, code)
 			}
 		}
+	}
+	legacy := []byte(`{"version":2,"request_id":"v2-layout","type":"authenticate","user":3,"body":{"capture":{"beeps":[[[0.5]]],"sample_rate":48000}}}`)
+	if _, err := c.conn.Write(append(binary.BigEndian.AppendUint32(nil, uint32(len(legacy))), legacy...)); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := c.pc.Receive()
+	if err != nil {
+		t.Fatalf("version 2 frame: %v", err)
+	}
+	if code := errCode(t, resp); code != proto.CodeBadRequest || resp.RequestID != "v2-layout" {
+		t.Errorf("version 2 frame answered %s/%s for %q, want bad_request", resp.Type, code, resp.RequestID)
 	}
 	if seen := f.seenUsers(); len(seen) != 0 {
 		t.Errorf("mismatched versions reached the shard: %v", seen)

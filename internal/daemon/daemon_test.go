@@ -2,9 +2,14 @@ package daemon
 
 import (
 	"context"
+	"encoding/base64"
+	"encoding/binary"
+	"encoding/json"
 	"fmt"
+	"math"
 	"net"
 	"os"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -59,6 +64,12 @@ func wireCapture(t *testing.T, userID, session, beeps int, seed int64) proto.Cap
 // the test and returns a client connection on the other end.
 func serveConn(t *testing.T, srv *Server) *proto.Conn {
 	t.Helper()
+	return proto.NewConn(servePipe(t, srv))
+}
+
+// servePipe is serveConn's unframed form, for tests that write raw bytes.
+func servePipe(t *testing.T, srv *Server) net.Conn {
+	t.Helper()
 	client, server := net.Pipe()
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})
@@ -72,7 +83,7 @@ func serveConn(t *testing.T, srv *Server) *proto.Conn {
 		client.Close()
 		<-done
 	})
-	return proto.NewConn(client)
+	return client
 }
 
 // mustCall sends one request and decodes its success reply into out (when
@@ -182,6 +193,33 @@ func TestEmptyReferenceRefused(t *testing.T) {
 	}
 }
 
+// TestNonFiniteSampleRefused: a sample block can carry NaN, which JSON
+// numbers cannot, so the daemon refuses a body holding one bad_request,
+// before it reaches the pipeline, and keeps serving the connection.
+func TestNonFiniteSampleRefused(t *testing.T) {
+	srv := testServer(t, Options{})
+	pc := serveConn(t, srv)
+	block := binary.LittleEndian.AppendUint32(nil, 3)
+	for _, d := range []uint32{1, 1, 2} {
+		block = binary.LittleEndian.AppendUint32(block, d)
+	}
+	block = binary.LittleEndian.AppendUint64(block, math.Float64bits(0.5))
+	block = binary.LittleEndian.AppendUint64(block, math.Float64bits(math.NaN()))
+	body := fmt.Sprintf(`{"user_id":1,"capture":{"beeps":%q,"sample_rate":48000}}`, base64.StdEncoding.EncodeToString(block))
+	resp, err := pc.RoundTrip(&proto.Envelope{Version: proto.Version, RequestID: "nan", Type: proto.TypeEnrollRequest, Body: []byte(body)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if code := replyCode(resp); code != proto.CodeBadRequest || !strings.Contains(proto.ReplyError(resp).Error(), "NaN") {
+		t.Errorf("NaN sample answered %s/%q: %v", resp.Type, code, proto.ReplyError(resp))
+	}
+	var status proto.StatusResponse
+	mustCall(t, pc, proto.TypeStatusRequest, nil, &status)
+	if status.TotalImages != 0 {
+		t.Errorf("refused enroll added %d images", status.TotalImages)
+	}
+}
+
 // TestEnrollRejectsMismatchedHint: a router sends an enroll to the shard
 // owning its envelope hint, so an enroll whose hint names another user
 // than its body would strand that user's images where their
@@ -222,12 +260,14 @@ func TestEnrollRejectsMismatchedHint(t *testing.T) {
 
 // TestVersionMismatchRefused: an envelope of any version but
 // proto.Version is answered in band with bad_request — request ID echoed,
-// connection kept — and does no work.
+// connection kept — and does no work. That includes a frame in the
+// version 2 layout, whose body sits inside the envelope object.
 func TestVersionMismatchRefused(t *testing.T) {
 	srv := testServer(t, Options{})
-	pc := serveConn(t, srv)
+	raw := servePipe(t, srv)
+	pc := proto.NewConn(raw)
 	wire := wireCapture(t, 1, 1, 2, 1)
-	for _, v := range []int{0, 3} {
+	for _, v := range []int{0, 2, 4} {
 		env, err := proto.NewEnvelope(proto.TypeEnrollRequest, fmt.Sprintf("v%d", v),
 			proto.EnrollRequest{UserID: 1, Capture: wire, Retrain: true})
 		if err != nil {
@@ -245,6 +285,29 @@ func TestVersionMismatchRefused(t *testing.T) {
 			t.Errorf("version %d refusal carries version %d", v, resp.Version)
 		}
 	}
+	// A version 2 client nests the body, its samples JSON numbers, in
+	// the envelope object.
+	legacy, err := json.Marshal(map[string]any{
+		"version": 2, "request_id": "v2-layout", "type": proto.TypeEnrollRequest, "user": 1,
+		"body": map[string]any{"user_id": 1, "retrain": true, "capture": map[string]any{
+			"beeps": [][][]float64(wire.Beeps), "sample_rate": wire.SampleRate,
+			"noise_only": [][]float64(wire.NoiseOnly), "reference": [][]float64(wire.Reference),
+		}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := raw.Write(append(binary.BigEndian.AppendUint32(nil, uint32(len(legacy))), legacy...)); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := pc.Receive()
+	if err != nil {
+		t.Fatalf("version 2 frame: %v", err)
+	}
+	if code := replyCode(resp); code != proto.CodeBadRequest || resp.RequestID != "v2-layout" ||
+		!strings.Contains(proto.ReplyError(resp).Error(), "version 2 ") {
+		t.Errorf("version 2 frame answered %s/%q for %q: %v", resp.Type, code, resp.RequestID, proto.ReplyError(resp))
+	}
 	// The refusal happens before the handler runs, yet each refused
 	// request still leaves a trace carrying its code.
 	refused := map[string]bool{}
@@ -253,8 +316,8 @@ func TestVersionMismatchRefused(t *testing.T) {
 			refused[tr.RequestID] = true
 		}
 	}
-	if !refused["v0"] || !refused["v3"] {
-		t.Errorf("traces of refused requests: %v, want v0 and v3", refused)
+	if !refused["v0"] || !refused["v2"] || !refused["v4"] || !refused["v2-layout"] {
+		t.Errorf("traces of refused requests: %v, want v0, v2, v4 and v2-layout", refused)
 	}
 	if st := srv.Status(); st.TotalImages != 0 || st.Trained {
 		t.Errorf("refused enrolls did work: %+v", st)

@@ -20,13 +20,17 @@ func frame(payload []byte) []byte {
 // trip with envelope identity intact — the property the daemon relies on
 // when it echoes request IDs back through WriteEnvelope.
 func FuzzRead(f *testing.F) {
-	// Valid v2 envelope.
-	f.Add(frame([]byte(`{"version":2,"request_id":"r-1","type":"status"}`)))
-	// Versionless envelope with a body: Read accepts the frame, and
-	// dispatch refuses it (CheckVersion).
-	f.Add(frame([]byte(`{"type":"enroll","body":{"user_id":3}}`)))
+	// Valid envelope with no body.
+	f.Add(frame([]byte(`{"version":3,"request_id":"r-1","type":"status"}`)))
+	// Header followed by its body.
+	f.Add(frame([]byte(`{"version":3,"request_id":"r-2","type":"enroll","user":3}{"user_id":3,"capture":{"beeps":"AwAAAAEAAAABAAAAAQAAAAAAAAAAAPA/","sample_rate":48000}}`)))
 	// Error response envelope.
-	f.Add(frame([]byte(`{"type":"error","body":{"code":"overloaded","message":"shed"}}`)))
+	f.Add(frame([]byte(`{"version":3,"type":"error"}{"code":"overloaded","message":"shed"}`)))
+	// Version 2 layout, the body inside the envelope object: Read takes
+	// the header alone, and dispatch refuses it (CheckVersion).
+	f.Add(frame([]byte(`{"version":2,"type":"enroll","body":{"user_id":3}}`)))
+	// Header followed by a body that is not JSON (rejected).
+	f.Add(frame([]byte(`{"version":3,"type":"status"}{"open":`)))
 	// Zero-length frame (rejected: length out of range).
 	f.Add(frame(nil))
 	// Truncated payload: prefix promises more bytes than follow.
@@ -58,6 +62,52 @@ func FuzzRead(f *testing.F) {
 		}
 		if !bytes.Equal(again.Body, env.Body) {
 			t.Fatalf("round trip changed body: %q -> %q", env.Body, again.Body)
+		}
+	})
+}
+
+// FuzzCaptureWire throws arbitrary text at the sample block decoders.
+// Decoding must never panic, and any text a decoder accepts must
+// re-encode to identical text: one block, one text.
+func FuzzCaptureWire(f *testing.F) {
+	for _, b := range []Beeps{nil, {{{1, -2}, {0.5, 3}}}, {{}, {}}, {{{}, {}}}} {
+		text, err := b.MarshalText()
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(text)
+	}
+	for _, c := range []Channels{nil, {{1e-310, -0.0, 1.7976931348623157e308}}, make(Channels, 6)} {
+		text, err := c.MarshalText()
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(text)
+	}
+	f.Add([]byte("AgAAAAEAAAABAAAAAQAAAAAA+H8=")) // a NaN sample (rejected)
+	f.Add([]byte("AgAAAP////8AAAAA"))             // too many empty rows (rejected)
+	f.Add([]byte(""))
+
+	f.Fuzz(func(t *testing.T, text []byte) {
+		var b Beeps
+		if b.UnmarshalText(text) == nil {
+			again, err := b.MarshalText()
+			if err != nil {
+				t.Fatalf("accepted beeps failed to re-encode: %v", err)
+			}
+			if !bytes.Equal(again, text) {
+				t.Fatalf("beeps re-encoded as %q, want %q", again, text)
+			}
+		}
+		var c Channels
+		if c.UnmarshalText(text) == nil {
+			again, err := c.MarshalText()
+			if err != nil {
+				t.Fatalf("accepted channels failed to re-encode: %v", err)
+			}
+			if !bytes.Equal(again, text) {
+				t.Fatalf("channels re-encoded as %q, want %q", again, text)
+			}
 		}
 	})
 }

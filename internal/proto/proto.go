@@ -1,17 +1,27 @@
 // Package proto defines the wire protocol between the EchoImage daemon
-// (cmd/echoimaged) and its clients: length-prefixed JSON messages over a
+// (cmd/echoimaged) and its clients: length-prefixed messages over a
 // stream transport. The daemon owns the trained authenticator; clients
 // submit captures for enrollment or authentication.
 //
+// Framing: a message is a 4-byte big-endian length, then the envelope
+// header as a JSON object, then the JSON body, if any. A reader decodes
+// only the header and takes the bytes after it as the body, so a router
+// forwards a body it never parses. Capture samples travel inside the body
+// as sample blocks: base64 strings of little-endian float64s (Beeps,
+// Channels), not as JSON numbers.
+//
 // Versioning: every envelope carries the sender's `version` and a
-// `request_id`, and every response echoes both. Version 2 is the only
+// `request_id`, and every response echoes both. Version 3 is the only
 // dialect: servers answer any other version in band with bad_request
 // (CheckVersion), and Conn.RoundTrip fails a reply that does not echo its
-// request's ID.
+// request's ID. A version 2 frame, whose body sits inside the envelope
+// object, reads as a header carrying version 2 and no body, so it is
+// refused the same way.
 package proto
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -21,13 +31,13 @@ import (
 
 // MaxMessageBytes bounds a single message to keep a misbehaving peer from
 // exhausting memory. Captures dominate message size: a 12-beep capture with
-// its noise-only and reference channels is about 7 MiB of JSON numbers,
-// and each further beep adds about 0.32 MiB.
+// its noise-only and reference channels is 3.56 MiB of sample blocks, and
+// each further beep adds 0.16 MiB.
 const MaxMessageBytes = 64 << 20
 
 // Version is the protocol version this package speaks, and the only one
 // its servers accept.
-const Version = 2
+const Version = 3
 
 // CheckVersion reports whether env speaks this package's protocol version.
 // Servers call it before dispatch and answer a failure in band with
@@ -116,9 +126,11 @@ type Envelope struct {
 	// requests (retrain, model_info) whose bodies carry no user at all.
 	// The daemon refuses an enroll whose non-zero hint names a different
 	// user than its body; 0 (field absent) means unrouted.
-	User int             `json:"user,omitempty"`
-	Type MsgType         `json:"type"`
-	Body json.RawMessage `json:"body,omitempty"`
+	User int     `json:"user,omitempty"`
+	Type MsgType `json:"type"`
+	// Body is the JSON message body. It follows the header on the wire
+	// rather than sitting inside it, and is empty when absent.
+	Body json.RawMessage `json:"-"`
 }
 
 // NewEnvelope marshals body into an envelope carrying the given
@@ -138,14 +150,14 @@ func NewEnvelope(msgType MsgType, requestID string, body any) (*Envelope, error)
 // CaptureWire carries a multichannel capture.
 type CaptureWire struct {
 	// Beeps is indexed [beep][mic][sample].
-	Beeps      [][][]float64 `json:"beeps"`
-	SampleRate float64       `json:"sample_rate"`
+	Beeps      Beeps   `json:"beeps"`
+	SampleRate float64 `json:"sample_rate"`
 	// NoiseOnly optionally carries a speaker-silent recording for noise
 	// covariance estimation.
-	NoiseOnly [][]float64 `json:"noise_only,omitempty"`
+	NoiseOnly Channels `json:"noise_only,omitempty"`
 	// Reference optionally carries the installation's background
 	// calibration beep (empty-scene response) for subtraction.
-	Reference [][]float64 `json:"reference,omitempty"`
+	Reference Channels `json:"reference,omitempty"`
 }
 
 // EnrollRequest registers a user from a capture.
@@ -322,30 +334,19 @@ func ErrorCode(err error) string {
 	return ""
 }
 
-// WriteEnvelope frames and sends one message: a 4-byte big-endian length
-// followed by the JSON envelope. The body is written byte for byte as it
-// is (after a validity check), so an envelope read and written again —
-// a router forwarding it — crosses unchanged.
+// WriteEnvelope frames and sends one message: a 4-byte big-endian length,
+// then the envelope header as JSON, then the body. The body is written
+// byte for byte as it is (after a validity check), so an envelope read
+// and written again — a router forwarding it — crosses unchanged.
 func WriteEnvelope(w io.Writer, env *Envelope) error {
-	head := *env
-	head.Body = nil
-	header, err := json.Marshal(&head)
+	header, err := json.Marshal(env)
 	if err != nil {
 		return fmt.Errorf("proto: marshal envelope: %w", err)
 	}
-	parts := [][]byte{header}
-	if len(env.Body) > 0 {
-		if !json.Valid(env.Body) {
-			return fmt.Errorf("proto: %s body is not valid JSON", env.Type)
-		}
-		// Reopen the header object: {...} becomes {...,"body":<body>}.
-		parts[0] = append(header[:len(header)-1], `,"body":`...)
-		parts = append(parts, env.Body, []byte("}"))
+	if len(env.Body) > 0 && !json.Valid(env.Body) {
+		return fmt.Errorf("proto: %s body is not valid JSON", env.Type)
 	}
-	size := 0
-	for _, p := range parts {
-		size += len(p)
-	}
+	size := len(header) + len(env.Body)
 	if size > MaxMessageBytes {
 		return fmt.Errorf("proto: message of %d bytes exceeds limit", size)
 	}
@@ -354,15 +355,20 @@ func WriteEnvelope(w io.Writer, env *Envelope) error {
 	if _, err := w.Write(prefix[:]); err != nil {
 		return fmt.Errorf("proto: write length prefix: %w", err)
 	}
-	for _, p := range parts {
-		if _, err := w.Write(p); err != nil {
-			return fmt.Errorf("proto: write payload: %w", err)
+	if _, err := w.Write(header); err != nil {
+		return fmt.Errorf("proto: write header: %w", err)
+	}
+	if len(env.Body) > 0 {
+		if _, err := w.Write(env.Body); err != nil {
+			return fmt.Errorf("proto: write body: %w", err)
 		}
 	}
 	return nil
 }
 
-// Read receives one framed message.
+// Read receives one framed message. It decodes only the header and takes
+// the rest of the frame as the body, which must be JSON; a rest of only
+// whitespace is no body.
 func Read(r io.Reader) (*Envelope, error) {
 	var prefix [4]byte
 	if _, err := io.ReadFull(r, prefix[:]); err != nil {
@@ -380,8 +386,15 @@ func Read(r io.Reader) (*Envelope, error) {
 		return nil, fmt.Errorf("proto: read payload: %w", err)
 	}
 	var env Envelope
-	if err := json.Unmarshal(payload, &env); err != nil {
-		return nil, fmt.Errorf("proto: unmarshal envelope: %w", err)
+	dec := json.NewDecoder(bytes.NewReader(payload))
+	if err := dec.Decode(&env); err != nil {
+		return nil, fmt.Errorf("proto: unmarshal envelope header: %w", err)
+	}
+	if body := payload[dec.InputOffset():]; len(bytes.TrimLeft(body, " \t\r\n")) > 0 {
+		if !json.Valid(body) {
+			return nil, fmt.Errorf("proto: %s body is not valid JSON", env.Type)
+		}
+		env.Body = body
 	}
 	return &env, nil
 }

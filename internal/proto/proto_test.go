@@ -92,16 +92,16 @@ func TestReadOversizedBoundary(t *testing.T) {
 	}
 
 	// A frame of exactly MaxMessageBytes must be read in full: a small
-	// envelope padded to the limit with JSON whitespace.
-	head := []byte(`{"version":2,"type":"status"}`)
+	// header padded to the limit with JSON whitespace, which is no body.
+	head := []byte(`{"version":3,"type":"status"}`)
 	payload := append(head, bytes.Repeat([]byte{' '}, MaxMessageBytes-len(head))...)
 	binary.BigEndian.PutUint32(prefix[:], uint32(len(payload)))
 	env, err := Read(io.MultiReader(bytes.NewReader(prefix[:]), bytes.NewReader(payload)))
 	if err != nil {
 		t.Fatalf("frame of exactly MaxMessageBytes rejected: %v", err)
 	}
-	if env.Type != TypeStatusRequest {
-		t.Errorf("type %q", env.Type)
+	if env.Type != TypeStatusRequest || len(env.Body) != 0 {
+		t.Errorf("padded frame read as %+v with body of %d bytes", env, len(env.Body))
 	}
 }
 
@@ -147,6 +147,24 @@ func TestWriteEnvelopeKeepsBodyBytes(t *testing.T) {
 	}
 }
 
+// TestFrameIsHeaderThenBody pins the frame layout: the length prefix, the
+// envelope header as a JSON object, then the body bytes, which Read
+// still refuses when they are not JSON.
+func TestFrameIsHeaderThenBody(t *testing.T) {
+	body := []byte(`{"user_id":3}`)
+	var buf bytes.Buffer
+	if err := WriteEnvelope(&buf, &Envelope{Version: Version, RequestID: "r-1", User: 3, Type: TypeEnrollRequest, Body: body}); err != nil {
+		t.Fatal(err)
+	}
+	want := frame([]byte(`{"version":3,"request_id":"r-1","user":3,"type":"enroll"}{"user_id":3}`))
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Errorf("frame %q, want %q", buf.Bytes(), want)
+	}
+	if _, err := Read(bytes.NewReader(frame([]byte(`{"version":3,"type":"enroll"}{"user_id":`)))); err == nil {
+		t.Error("frame with a truncated body accepted")
+	}
+}
+
 type countWriter struct{ n int }
 
 func (w *countWriter) Write(p []byte) (int, error) {
@@ -177,20 +195,24 @@ func TestReadTruncatedPayload(t *testing.T) {
 
 // TestEnvelopeVersionCheck pins the one-dialect contract: framing still
 // reads an envelope of any version (a frame without a version key reads as
-// version 0), and CheckVersion, which servers run before dispatch, refuses
-// every version but Version with a message naming both.
+// version 0, and a version 2 frame, whose body sits inside the envelope
+// object, reads as its header alone), and CheckVersion, which servers run
+// before dispatch, refuses every version but Version with a message naming
+// both.
 func TestEnvelopeVersionCheck(t *testing.T) {
-	legacy := []byte(`{"type":"authenticate","body":{"capture":{"beeps":[[[1]]],"sample_rate":48000}}}`)
-	var prefix [4]byte
-	binary.BigEndian.PutUint32(prefix[:], uint32(len(legacy)))
-	env, err := Read(io.MultiReader(bytes.NewReader(prefix[:]), bytes.NewReader(legacy)))
-	if err != nil {
-		t.Fatalf("versionless frame rejected at framing layer: %v", err)
+	for want, legacy := range map[int]string{
+		0: `{"type":"authenticate","body":{"capture":{"beeps":[[[1]]],"sample_rate":48000}}}`,
+		2: `{"version":2,"request_id":"r-2","type":"authenticate","body":{"capture":{"beeps":[[[1]]],"sample_rate":48000}}}`,
+	} {
+		env, err := Read(bytes.NewReader(frame([]byte(legacy))))
+		if err != nil {
+			t.Fatalf("version %d frame rejected at framing layer: %v", want, err)
+		}
+		if env.Type != TypeAuthRequest || env.Version != want || len(env.Body) != 0 {
+			t.Errorf("version %d frame decoded as %+v with body %q", want, env, env.Body)
+		}
 	}
-	if env.Type != TypeAuthRequest || env.Version != 0 {
-		t.Errorf("versionless frame decoded as %+v", env)
-	}
-	for _, v := range []int{0, 1, 3} {
+	for _, v := range []int{0, 1, 2, 4} {
 		err := CheckVersion(&Envelope{Version: v, Type: TypeStatusRequest})
 		if err == nil {
 			t.Errorf("version %d accepted", v)
@@ -212,7 +234,7 @@ func TestEnvelopeVersionCheck(t *testing.T) {
 	if err := WriteEnvelope(&buf, out); err != nil {
 		t.Fatal(err)
 	}
-	env, err = Read(&buf)
+	env, err := Read(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
