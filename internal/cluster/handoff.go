@@ -312,7 +312,7 @@ func (r *Router) retrainShard(ctx context.Context, id string) error {
 func (r *Router) handoffCall(ctx context.Context, shard *Shard, env *proto.Envelope, timeout time.Duration) (*proto.Envelope, error) {
 	var resp *proto.Envelope
 	err := retry.Do(ctx, r.opts.Retry, retryableErr, func() error {
-		out, rerr := r.roundTripTimeout(ctx, shard, env, timeout)
+		out, rerr := r.roundTrip(ctx, shard, env, timeout)
 		if rerr != nil {
 			return rerr
 		}
@@ -383,7 +383,7 @@ func (r *Router) Rebalance(ctx context.Context) RebalanceReport {
 		if err != nil {
 			continue
 		}
-		out, err := r.roundTrip(ctx, &s, env)
+		out, err := r.roundTrip(ctx, &s, env, r.opts.UpstreamTimeout)
 		if err != nil || out.Type == proto.TypeError {
 			continue
 		}

@@ -355,7 +355,7 @@ func (r *Router) forwardUser(ctx context.Context, env *proto.Envelope, user int,
 				}
 			}
 			fallback := id != candidates[0]
-			out, rerr := r.roundTrip(ctx, &shard, env)
+			out, rerr := r.roundTrip(ctx, &shard, env, r.opts.UpstreamTimeout)
 			if rerr != nil {
 				r.met.shardErrorCounter(id).Inc()
 				if retryableErr(rerr) {
@@ -396,11 +396,11 @@ func (r *Router) forwardUser(ctx context.Context, env *proto.Envelope, user int,
 var errExhausted = errors.New("candidate shards exhausted")
 
 // roundTrip performs one request/response exchange against a shard over
-// a pooled connection. Any transport failure retires the connection and
-// returns a plain (non-coded, hence retryable) error. In-band error
-// responses are classified: retryable codes surface as coded
-// *serve.Error values so failover engages, everything else is returned
-// as the shard's verbatim response for the client to see.
+// a pooled connection, bounded by timeout (0 means none). Any transport
+// failure retires the connection and returns a plain (non-coded, hence
+// retryable) error. In-band error responses are classified: retryable
+// codes surface as coded *serve.Error values so failover engages,
+// everything else is returned as the shard's verbatim response.
 //
 // A transport error on a *reused* pooled connection gets one same-shard
 // redial before the failure propagates: the daemon may have closed the
@@ -409,11 +409,7 @@ var errExhausted = errors.New("candidate shards exhausted")
 // candidate (and its model-less not_trained mapping) on a healthy owner.
 // Fresh-dial failures and in-band refusals skip the redial: those really
 // are the shard speaking.
-func (r *Router) roundTrip(ctx context.Context, shard *Shard, env *proto.Envelope) (*proto.Envelope, error) {
-	return r.roundTripTimeout(ctx, shard, env, r.opts.UpstreamTimeout)
-}
-
-func (r *Router) roundTripTimeout(ctx context.Context, shard *Shard, env *proto.Envelope, timeout time.Duration) (*proto.Envelope, error) {
+func (r *Router) roundTrip(ctx context.Context, shard *Shard, env *proto.Envelope, timeout time.Duration) (*proto.Envelope, error) {
 	p := r.shardPool(shard.ID, shard.Addr)
 	u, reused, err := p.Get(ctx)
 	if err != nil {
@@ -435,15 +431,18 @@ func (r *Router) roundTripTimeout(ctx context.Context, shard *Shard, env *proto.
 // exchange runs one round trip on a checked-out upstream: returned to the
 // pool on clean completion, retired on any transport error — including a
 // reply that does not echo the request ID, after which the connection's
-// framing cannot be trusted. Cancelling ctx expires the connection's
+// framing cannot be trusted. A timeout of 0 clears the deadline a pooled
+// connection kept from its last use. Cancelling ctx expires the
 // deadline, so a shard that accepts a request and never answers cannot
 // pin the caller (Serve's shutdown, Close's handoff wait) even when no
 // timeout is set.
 func (r *Router) exchange(ctx context.Context, p *proto.Pool, u *proto.PoolConn, shard *Shard, env *proto.Envelope, timeout time.Duration) (*proto.Envelope, error) {
 	start := time.Now()
+	var deadline time.Time
 	if timeout > 0 {
-		u.SetDeadline(time.Now().Add(timeout))
+		deadline = start.Add(timeout)
 	}
+	u.SetDeadline(deadline)
 	stop := context.AfterFunc(ctx, func() { u.SetDeadline(time.Now()) })
 	r.met.shardRequestCounter(shard.ID).Inc()
 	resp, err := u.RoundTrip(env)
@@ -499,7 +498,7 @@ func (r *Router) fanout(ctx context.Context, env *proto.Envelope) (*proto.Envelo
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			resp, err := r.roundTrip(ctx, &live[i], env)
+			resp, err := r.roundTrip(ctx, &live[i], env, r.opts.UpstreamTimeout)
 			results[i] = result{shard: live[i].ID, resp: resp, err: err}
 		}(i)
 	}

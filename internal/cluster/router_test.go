@@ -119,6 +119,67 @@ func TestVersionMismatchRefused(t *testing.T) {
 	}
 }
 
+// TestNonJSONBodyCrossesRouter: the router forwards a body it never
+// reads, so an enroll whose body is not JSON reaches the owning shard
+// byte for byte, the shard's in-band bad_request comes back to the
+// client, and the client's connection keeps serving.
+func TestNonJSONBodyCrossesRouter(t *testing.T) {
+	bodies := make(chan []byte, 1)
+	f := newFakeShard(t, func(env *proto.Envelope) *proto.Envelope {
+		if env.Type != proto.TypeEnrollRequest {
+			return respEnv(proto.TypeStatusResponse, proto.StatusResponse{Users: []int{}})
+		}
+		bodies <- env.Body
+		if err := proto.DecodeBody(env, &proto.EnrollRequest{}); err != nil {
+			return errEnv(proto.CodeBadRequest, err.Error())
+		}
+		return respEnv(proto.TypeEnrollResponse, proto.EnrollResponse{UserID: env.User})
+	})
+	_, addr := startRouter(t, Options{Retry: fastRetry}, f)
+	c := dialRouter(t, addr)
+	body := []byte("\x00 not JSON {\"user_id\":3,")
+	resp := c.send(&proto.Envelope{Version: proto.Version, RequestID: "non-json", User: 3, Type: proto.TypeEnrollRequest, Body: body})
+	if code := errCode(t, resp); code != proto.CodeBadRequest || resp.RequestID != "non-json" {
+		t.Errorf("non-JSON enroll answered %s/%s for %q, want the shard's bad_request", resp.Type, code, resp.RequestID)
+	}
+	select {
+	case got := <-bodies:
+		if !bytes.Equal(got, body) {
+			t.Errorf("shard received body %q, want %q", got, body)
+		}
+	default:
+		t.Fatal("the enroll never reached the shard")
+	}
+	if resp := c.call(proto.TypeStatusRequest, 0, nil); resp.Type != proto.TypeStatusResponse {
+		t.Errorf("status after the refusal answered %s (code %s)", resp.Type, errCode(t, resp))
+	}
+}
+
+// TestPooledConnDeadlineCleared: an exchange without a timeout clears
+// the deadline a pooled connection kept from its previous exchange, so
+// reusing the connection after that deadline passed costs no redial.
+func TestPooledConnDeadlineCleared(t *testing.T) {
+	r, _ := startRouter(t, Options{Retry: fastRetry}, newFakeShard(t, nil))
+	shard, _ := r.table.Get("s0")
+	status := func(reqID string, timeout time.Duration) {
+		t.Helper()
+		env, err := proto.NewEnvelope(proto.TypeStatusRequest, reqID, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := r.roundTrip(context.Background(), &shard, env, timeout); err != nil {
+			t.Fatalf("%s: %v", reqID, err)
+		}
+	}
+	const timeout = 50 * time.Millisecond
+	status("bounded", timeout)
+	time.Sleep(2 * timeout)
+	status("unbounded", 0)
+	if n := r.met.redials.Value(); n != 0 {
+		t.Errorf("reusing the pooled connection cost %d redials, want 0", n)
+	}
+}
+
 // TestMismatchedShardEchoFailsOver: a shard reply correlated to another
 // request is a transport failure — the upstream connection is retired and
 // the request fails over to the next ring candidate — never a result

@@ -195,28 +195,41 @@ func TestEmptyReferenceRefused(t *testing.T) {
 
 // TestNonFiniteSampleRefused: a sample block can carry NaN, which JSON
 // numbers cannot, so the daemon refuses a body holding one bad_request,
-// before it reaches the pipeline, and keeps serving the connection.
+// before it reaches the pipeline, and keeps serving the connection. A
+// body that is not JSON at all is refused the same way: the frame layer
+// carries it unread, and the handler's decode answers it in band.
 func TestNonFiniteSampleRefused(t *testing.T) {
 	srv := testServer(t, Options{})
-	pc := serveConn(t, srv)
+	raw := servePipe(t, srv)
+	pc := proto.NewConn(raw)
 	block := binary.LittleEndian.AppendUint32(nil, 3)
 	for _, d := range []uint32{1, 1, 2} {
 		block = binary.LittleEndian.AppendUint32(block, d)
 	}
 	block = binary.LittleEndian.AppendUint64(block, math.Float64bits(0.5))
 	block = binary.LittleEndian.AppendUint64(block, math.Float64bits(math.NaN()))
-	body := fmt.Sprintf(`{"user_id":1,"capture":{"beeps":%q,"sample_rate":48000}}`, base64.StdEncoding.EncodeToString(block))
-	resp, err := pc.RoundTrip(&proto.Envelope{Version: proto.Version, RequestID: "nan", Type: proto.TypeEnrollRequest, Body: []byte(body)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if code := replyCode(resp); code != proto.CodeBadRequest || !strings.Contains(proto.ReplyError(resp).Error(), "NaN") {
-		t.Errorf("NaN sample answered %s/%q: %v", resp.Type, code, proto.ReplyError(resp))
+	beeps := base64.StdEncoding.EncodeToString(block)
+	for _, tc := range []struct{ id, body, want string }{
+		{"nan", fmt.Sprintf(`{"user_id":1,"capture":{"beeps":%q,"sample_rate":48000}}`, beeps), "NaN"},
+		{"truncated", fmt.Sprintf(`{"user_id":1,"capture":{"beeps":%q,"sam`, beeps), "unexpected end of JSON input"},
+	} {
+		payload := fmt.Appendf(nil, `{"version":%d,"request_id":%q,"user":1,"type":"enroll"}%s`, proto.Version, tc.id, tc.body)
+		if _, err := raw.Write(append(binary.BigEndian.AppendUint32(nil, uint32(len(payload))), payload...)); err != nil {
+			t.Fatalf("%s: %v", tc.id, err)
+		}
+		resp, err := pc.Receive()
+		if err != nil {
+			t.Fatalf("%s: %v", tc.id, err)
+		}
+		if code := replyCode(resp); code != proto.CodeBadRequest || resp.RequestID != tc.id ||
+			!strings.Contains(proto.ReplyError(resp).Error(), tc.want) {
+			t.Errorf("%s body answered %s/%q for %q: %v", tc.id, resp.Type, code, resp.RequestID, proto.ReplyError(resp))
+		}
 	}
 	var status proto.StatusResponse
 	mustCall(t, pc, proto.TypeStatusRequest, nil, &status)
-	if status.TotalImages != 0 {
-		t.Errorf("refused enroll added %d images", status.TotalImages)
+	if status.TotalImages != 0 || len(status.Users) != 0 {
+		t.Errorf("refused enrolls left status %+v", status)
 	}
 }
 

@@ -29,7 +29,8 @@ func FuzzRead(f *testing.F) {
 	// Version 2 layout, the body inside the envelope object: Read takes
 	// the header alone, and dispatch refuses it (CheckVersion).
 	f.Add(frame([]byte(`{"version":2,"type":"enroll","body":{"user_id":3}}`)))
-	// Header followed by a body that is not JSON (rejected).
+	// Header followed by a body that is not JSON (carried unread:
+	// DecodeBody, not Read, refuses it).
 	f.Add(frame([]byte(`{"version":3,"type":"status"}{"open":`)))
 	// Zero-length frame (rejected: length out of range).
 	f.Add(frame(nil))

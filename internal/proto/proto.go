@@ -4,11 +4,11 @@
 // submit captures for enrollment or authentication.
 //
 // Framing: a message is a 4-byte big-endian length, then the envelope
-// header as a JSON object, then the JSON body, if any. A reader decodes
-// only the header and takes the bytes after it as the body, so a router
-// forwards a body it never parses. Capture samples travel inside the body
-// as sample blocks: base64 strings of little-endian float64s (Beeps,
-// Channels), not as JSON numbers.
+// header as a JSON object, then the body bytes, if any. Framing carries
+// the body unread, so a router forwards it unparsed; only DecodeBody
+// checks it. Capture samples travel inside the body as sample blocks:
+// base64 strings of little-endian float64s (Beeps, Channels), not as
+// JSON numbers.
 //
 // Versioning: every envelope carries the sender's `version` and a
 // `request_id`, and every response echoes both. Version 3 is the only
@@ -128,8 +128,8 @@ type Envelope struct {
 	// user than its body; 0 (field absent) means unrouted.
 	User int     `json:"user,omitempty"`
 	Type MsgType `json:"type"`
-	// Body is the JSON message body. It follows the header on the wire
-	// rather than sitting inside it, and is empty when absent.
+	// Body is the exact bytes that follow the header on the wire, empty
+	// when absent; only DecodeBody reads them.
 	Body json.RawMessage `json:"-"`
 }
 
@@ -336,15 +336,12 @@ func ErrorCode(err error) string {
 
 // WriteEnvelope frames and sends one message: a 4-byte big-endian length,
 // then the envelope header as JSON, then the body. The body is written
-// byte for byte as it is (after a validity check), so an envelope read
-// and written again — a router forwarding it — crosses unchanged.
+// byte for byte as it is, unchecked, so an envelope read and written
+// again — a router forwarding it — crosses unchanged.
 func WriteEnvelope(w io.Writer, env *Envelope) error {
 	header, err := json.Marshal(env)
 	if err != nil {
 		return fmt.Errorf("proto: marshal envelope: %w", err)
-	}
-	if len(env.Body) > 0 && !json.Valid(env.Body) {
-		return fmt.Errorf("proto: %s body is not valid JSON", env.Type)
 	}
 	size := len(header) + len(env.Body)
 	if size > MaxMessageBytes {
@@ -367,8 +364,8 @@ func WriteEnvelope(w io.Writer, env *Envelope) error {
 }
 
 // Read receives one framed message. It decodes only the header and takes
-// the rest of the frame as the body, which must be JSON; a rest of only
-// whitespace is no body.
+// the rest of the frame, uncopied and unchecked, as the body; no bytes
+// after the header means no body.
 func Read(r io.Reader) (*Envelope, error) {
 	var prefix [4]byte
 	if _, err := io.ReadFull(r, prefix[:]); err != nil {
@@ -390,16 +387,12 @@ func Read(r io.Reader) (*Envelope, error) {
 	if err := dec.Decode(&env); err != nil {
 		return nil, fmt.Errorf("proto: unmarshal envelope header: %w", err)
 	}
-	if body := payload[dec.InputOffset():]; len(bytes.TrimLeft(body, " \t\r\n")) > 0 {
-		if !json.Valid(body) {
-			return nil, fmt.Errorf("proto: %s body is not valid JSON", env.Type)
-		}
-		env.Body = body
-	}
+	env.Body = payload[dec.InputOffset():]
 	return &env, nil
 }
 
-// DecodeBody unmarshals an envelope body into the given value.
+// DecodeBody unmarshals an envelope body into the given value: the one
+// check that a body is JSON, made where a handler can answer it in band.
 func DecodeBody(env *Envelope, into any) error {
 	if len(env.Body) == 0 {
 		return fmt.Errorf("proto: %s message has no body", env.Type)
