@@ -142,16 +142,17 @@ cluster-smoke:
 # bytes, accepted frames round-trip, and accepted blocks re-encode to
 # identical text. The corpus grows under $GOCACHE/fuzz across runs.
 fuzz-smoke:
-	$(GO) test -run '^$$' -fuzz=FuzzRead -fuzztime=10s ./internal/proto
-	$(GO) test -run '^$$' -fuzz=FuzzCaptureWire -fuzztime=10s ./internal/proto
+	$(GO) test -run '^$$' -fuzz=FuzzRead -fuzztime=10s -fuzzminimizetime=1s ./internal/proto
+	$(GO) test -run '^$$' -fuzz=FuzzCaptureWire -fuzztime=10s -fuzzminimizetime=1s ./internal/proto
 
 # Architectural-invariant gate: the project's own analyzer suite
-# (internal/analysis; rule table in README.md, invariants in DESIGN.md)
-# plus a gofmt cleanliness sweep. Fails on any finding or any
-# unformatted file; suppress intentional findings in source with
+# (internal/analysis; rule table in README.md, invariants in DESIGN.md),
+# run once over the whole tree by TestDefaultSuiteCleanTree, plus a
+# gofmt cleanliness sweep. Fails on any finding or any unformatted file;
+# suppress intentional findings in source with
 # //echoimage:lint-ignore <rule> <reason>.
 lint:
-	$(GO) run ./cmd/echoimage-lint ./...
+	$(GO) test -count=1 -run '^TestDefaultSuiteCleanTree$$' ./internal/analysis
 	@unformatted=$$(gofmt -l .); \
 	if [ -n "$$unformatted" ]; then \
 		echo "gofmt: unformatted files:" >&2; \

@@ -1,14 +1,14 @@
-// Package analysis is echoimage-lint: a zero-dependency static-analysis
-// suite (stdlib go/parser, go/ast, go/token, go/types only) that enforces
-// the serving stack's architectural invariants — the layered import DAG,
-// context-first cancellation discipline, the closed stable-error-code
-// set, compile-time metric names on the telemetry hot path, and the ban
-// on exact floating-point comparison in the DSP core.
+// Package analysis is the project's lint suite: a zero-dependency
+// static-analysis suite (stdlib go/parser, go/ast, go/token, go/types
+// only) that enforces the architectural invariants the compiler, vet,
+// the race detector and the tests do not reliably catch — the layered
+// import DAG, context-first cancellation discipline, the closed
+// stable-error-code set, goroutine lifecycles and guarded-field locking.
 //
 // Invariants live here as code, not prose: DESIGN.md documents them,
-// suite.go declares them, and `make lint` (cmd/echoimage-lint) fails the
-// build when the tree drifts. A finding that is intentional is silenced
-// with an explicit, audited comment:
+// suite.go declares them, and TestDefaultSuiteCleanTree (which `make
+// lint` runs) fails when the tree drifts. A finding that is intentional
+// is silenced with an explicit, audited comment:
 //
 //	//echoimage:lint-ignore <rule> <reason>
 //
@@ -45,86 +45,53 @@ type Analyzer interface {
 	// Name is the rule identifier used in diagnostics and in
 	// //echoimage:lint-ignore comments.
 	Name() string
-	// Doc is a one-line description of the invariant.
-	Doc() string
 	// Check reports violations in pkg.
 	Check(pkg *Package) []Diagnostic
 }
 
-// Finding is one diagnostic plus its suppression outcome: a Suppressed
-// finding matched an audited //echoimage:lint-ignore comment and does
-// not fail the build, but machine consumers (-json) still see it — an
-// audit trail of every accepted exception.
-type Finding struct {
-	Diagnostic
-	Suppressed bool
-}
-
 // Run loads the packages matched by patterns (relative to dir), runs
-// every analyzer over every loaded package, applies lint-ignore
-// suppressions, and returns the surviving diagnostics sorted by
+// every analyzer over every loaded package, drops the diagnostics that
+// a lint-ignore comment suppresses, and returns the rest sorted by
 // position. File names in the result are relative to dir when inside it.
 func Run(dir string, patterns []string, analyzers []Analyzer) ([]Diagnostic, error) {
-	findings, err := RunDetailed(dir, patterns, analyzers, nil)
-	if err != nil {
-		return nil, err
-	}
-	var diags []Diagnostic
-	for _, f := range findings {
-		if !f.Suppressed {
-			diags = append(diags, f.Diagnostic)
-		}
-	}
-	return diags, nil
-}
-
-// RunDetailed is Run keeping suppressed findings, marked instead of
-// dropped. knownRules extends the set of rule names valid in ignore
-// comments beyond the analyzers actually run — a driver filtering the
-// suite (-rules) passes the full suite's names here so an ignore for an
-// unfiltered rule is not misreported as unknown.
-func RunDetailed(dir string, patterns []string, analyzers []Analyzer, knownRules []string) ([]Finding, error) {
 	pkgs, err := Load(dir, patterns)
 	if err != nil {
 		return nil, err
 	}
-	known := make(map[string]bool, len(analyzers)+len(knownRules))
+	known := make(map[string]bool, len(analyzers))
 	for _, a := range analyzers {
 		known[a.Name()] = true
 	}
-	for _, r := range knownRules {
-		known[r] = true
-	}
-	var findings []Finding
+	var diags []Diagnostic
 	for _, pkg := range pkgs {
 		var pd []Diagnostic
 		for _, a := range analyzers {
 			pd = append(pd, a.Check(pkg)...)
 		}
-		findings = append(findings, evalIgnores(pkg, pd, known)...)
+		diags = append(diags, evalIgnores(pkg, pd, known)...)
 	}
-	relativize(dir, findings)
-	sortFindings(findings)
-	return findings, nil
+	relativize(dir, diags)
+	sortDiagnostics(diags)
+	return diags, nil
 }
 
 // relativize rewrites absolute diagnostic file names to dir-relative
 // ones, for stable output independent of where the tree is checked out.
-func relativize(dir string, findings []Finding) {
+func relativize(dir string, diags []Diagnostic) {
 	abs, err := filepath.Abs(dir)
 	if err != nil {
 		return
 	}
-	for i := range findings {
-		if rel, err := filepath.Rel(abs, findings[i].Pos.Filename); err == nil && !strings.HasPrefix(rel, "..") {
-			findings[i].Pos.Filename = rel
+	for i := range diags {
+		if rel, err := filepath.Rel(abs, diags[i].Pos.Filename); err == nil && !strings.HasPrefix(rel, "..") {
+			diags[i].Pos.Filename = rel
 		}
 	}
 }
 
-func sortFindings(findings []Finding) {
-	sort.Slice(findings, func(i, j int) bool {
-		a, b := findings[i], findings[j]
+func sortDiagnostics(diags []Diagnostic) {
+	sort.Slice(diags, func(i, j int) bool {
+		a, b := diags[i], diags[j]
 		if a.Pos.Filename != b.Pos.Filename {
 			return a.Pos.Filename < b.Pos.Filename
 		}

@@ -62,7 +62,7 @@ func TestDataflowCoverage(t *testing.T) {
 	for _, a := range DefaultSuite() {
 		names[a.Name()] = true
 	}
-	for _, rule := range []string{"goroutinelife", "lockguard", "codeswitch"} {
+	for _, rule := range []string{"goroutinelife", "lockguard"} {
 		if !names[rule] {
 			t.Errorf("default suite does not register %s", rule)
 		}

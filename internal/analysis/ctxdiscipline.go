@@ -21,11 +21,6 @@ func NewCtxDiscipline() *CtxDiscipline { return &CtxDiscipline{} }
 // Name implements Analyzer.
 func (c *CtxDiscipline) Name() string { return "ctxdiscipline" }
 
-// Doc implements Analyzer.
-func (c *CtxDiscipline) Doc() string {
-	return "context.Context must be the first parameter; context.Background/TODO only in main and tests"
-}
-
 // Check implements Analyzer.
 func (c *CtxDiscipline) Check(pkg *Package) []Diagnostic {
 	var diags []Diagnostic

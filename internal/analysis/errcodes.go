@@ -48,12 +48,6 @@ func NewErrCodes(cfg ErrCodesConfig) *ErrCodes {
 // Name implements Analyzer.
 func (e *ErrCodes) Name() string { return "errcodes" }
 
-// Doc implements Analyzer.
-func (e *ErrCodes) Doc() string {
-	return fmt.Sprintf("error codes sent on the wire must be declared %s.%s* constants, never inline literals",
-		pathBase(e.cfg.ProtoPath), e.cfg.CodePrefix)
-}
-
 // Check implements Analyzer.
 func (e *ErrCodes) Check(pkg *Package) []Diagnostic {
 	if !e.pkgs[pkg.Path] {

@@ -29,11 +29,6 @@ func NewGoroutineLife() *GoroutineLife { return &GoroutineLife{} }
 // Name implements Analyzer.
 func (g *GoroutineLife) Name() string { return "goroutinelife" }
 
-// Doc implements Analyzer.
-func (g *GoroutineLife) Doc() string {
-	return "every goroutine outside main and tests must select on a stop signal or register with a sync.WaitGroup"
-}
-
 // Check implements Analyzer.
 func (g *GoroutineLife) Check(pkg *Package) []Diagnostic {
 	if pkg.Types.Name() == "main" {

@@ -47,11 +47,6 @@ func NewLayering(cfg LayeringConfig) *Layering { return &Layering{Config: cfg} }
 // Name implements Analyzer.
 func (l *Layering) Name() string { return "layering" }
 
-// Doc implements Analyzer.
-func (l *Layering) Doc() string {
-	return "package imports must follow the declared layering DAG (math core is I/O-free; only daemon wires the serving stack)"
-}
-
 // rule resolves the declared rule for a package path: exact entry first,
 // then the longest matching "/..." wildcard.
 func (l *Layering) rule(path string) (LayerRule, bool) {

@@ -32,11 +32,6 @@ func NewLockGuard() *LockGuard { return &LockGuard{} }
 // Name implements Analyzer.
 func (l *LockGuard) Name() string { return "lockguard" }
 
-// Doc implements Analyzer.
-func (l *LockGuard) Doc() string {
-	return "fields annotated `// guarded by <mu>` are only accessed with that mutex held; atomically-touched fields are never accessed non-atomically"
-}
-
 // lockedSuffix marks methods documented to run with the receiver's
 // mutex already held.
 const lockedSuffix = "Locked"

@@ -15,8 +15,7 @@ var mathLayerStdBan = []string{"net", "os", "syscall"}
 
 // DefaultSuite returns the analyzers configured for the echoimage tree:
 // the declared import DAG, context discipline, the closed proto
-// error-code set, the telemetry series-name contract, the float-comparison
-// ban over the numerical core, and the tree-wide dataflow rules.
+// error-code set, and the tree-wide dataflow rules.
 func DefaultSuite() []Analyzer {
 	return []Analyzer{
 		NewLayering(LayeringConfig{
@@ -159,31 +158,10 @@ func DefaultSuite() []Analyzer {
 			CodeField:   "Code",
 		}),
 
-		NewMetricNames(MetricNamesConfig{
-			RegistryPath: "echoimage/internal/telemetry",
-			RegistryType: "Registry",
-			Methods:      map[string]int{"Counter": 0, "Gauge": 0, "Histogram": 0, "CounterSet": 0, "HistogramSet": 0},
-			Pattern:      MetricNamePattern,
-		}),
-
-		NewFloatEq(FloatEqConfig{
-			Packages: []string{
-				"echoimage/internal/dsp",
-				"echoimage/internal/beamform",
-				"echoimage/internal/cmat",
-				"echoimage/internal/aimage",
-			},
-		}),
-
-		// ── dataflow analyzers (lint v2) ──
-		// Goroutine lifecycle, guarded-field locking, and proto-code
-		// switch exhaustiveness run tree-wide: the invariants they
-		// encode hold everywhere, not per layer.
+		// ── dataflow analyzers ──
+		// Goroutine lifecycle and guarded-field locking run tree-wide:
+		// the invariants they encode hold everywhere, not per layer.
 		NewGoroutineLife(),
 		NewLockGuard(),
-		NewCodeSwitch(CodeSwitchConfig{
-			ProtoPath:  "echoimage/internal/proto",
-			CodePrefix: "Code",
-		}),
 	}
 }

@@ -27,10 +27,10 @@ type ignoreComment struct {
 }
 
 // evalIgnores resolves diagnostics of pkg against its lint-ignore
-// comments: matched diagnostics come back marked Suppressed (not
-// dropped), and every ignore comment that names an unknown rule or
-// omits its reason becomes an additional unsuppressed finding.
-func evalIgnores(pkg *Package, diags []Diagnostic, known map[string]bool) []Finding {
+// comments: matched diagnostics are dropped, and every ignore comment
+// that names an unknown rule or omits its reason becomes an additional
+// diagnostic.
+func evalIgnores(pkg *Package, diags []Diagnostic, known map[string]bool) []Diagnostic {
 	var ignores []ignoreComment
 	var bad []Diagnostic
 	for _, file := range pkg.Files {
@@ -62,16 +62,12 @@ func evalIgnores(pkg *Package, diags []Diagnostic, known map[string]bool) []Find
 			}
 		}
 	}
-	findings := suppress(diags, ignores)
-	for _, b := range bad {
-		findings = append(findings, Finding{Diagnostic: b})
-	}
-	return findings
+	return append(suppress(diags, ignores), bad...)
 }
 
-// suppress marks, for each ignore, the diagnostics of its rule on the
+// suppress drops, for each ignore, the diagnostics of its rule on the
 // comment's own line — or, when that line has none, on the next line.
-func suppress(diags []Diagnostic, ignores []ignoreComment) []Finding {
+func suppress(diags []Diagnostic, ignores []ignoreComment) []Diagnostic {
 	type key struct {
 		file string
 		line int
@@ -89,12 +85,11 @@ func suppress(diags []Diagnostic, ignores []ignoreComment) []Finding {
 		}
 		dead[k] = true
 	}
-	findings := make([]Finding, 0, len(diags))
+	kept := make([]Diagnostic, 0, len(diags))
 	for _, d := range diags {
-		findings = append(findings, Finding{
-			Diagnostic: d,
-			Suppressed: dead[key{d.Pos.Filename, d.Pos.Line, d.Rule}],
-		})
+		if !dead[key{d.Pos.Filename, d.Pos.Line, d.Rule}] {
+			kept = append(kept, d)
+		}
 	}
-	return findings
+	return kept
 }

@@ -5,13 +5,11 @@ import (
 	"testing"
 )
 
-// suppressSuite pairs floateq (the suppressed rule) with ctxdiscipline
-// (a second known rule, so a wrong-rule ignore is not "unknown").
+// suppressSuite pairs ctxdiscipline (the suppressed rule) with
+// goroutinelife (a second known rule, so a wrong-rule ignore is not
+// "unknown").
 func suppressSuite() []Analyzer {
-	return []Analyzer{
-		NewFloatEq(FloatEqConfig{Packages: []string{fixtureBase + "/suppress/ignorepkg"}}),
-		NewCtxDiscipline(),
-	}
+	return []Analyzer{NewCtxDiscipline(), NewGoroutineLife()}
 }
 
 func TestSuppressionGolden(t *testing.T) {
@@ -39,28 +37,32 @@ func TestSuppressionSemantics(t *testing.T) {
 		}
 	}
 	// The unsuppressed violation survives.
-	if !hasRuleNear(byLine, src["func Unsuppressed"], "floateq") {
-		t.Error("Unsuppressed: floateq finding missing")
+	if !hasRuleNear(byLine, src["func Unsuppressed"], "ctxdiscipline") {
+		t.Error("Unsuppressed: ctxdiscipline finding missing")
 	}
-	// An ignore for a different rule does not silence floateq.
-	if !hasRuleNear(byLine, src["func WrongRule"], "floateq") {
-		t.Error("WrongRule: floateq finding should survive a ctxdiscipline ignore")
+	// An ignore for a different rule does not silence ctxdiscipline.
+	if !hasRuleNear(byLine, src["func WrongRule"], "ctxdiscipline") {
+		t.Error("WrongRule: ctxdiscipline finding should survive a goroutinelife ignore")
 	}
-	// One ignore covers exactly one line: the second comparison survives.
+	// One ignore covers exactly one line: the second root survives.
 	onePos := src["func OneLineOnly"]
 	var oneLine []Diagnostic
 	for line := onePos; line < onePos+6; line++ {
 		oneLine = append(oneLine, byLine[line]...)
 	}
-	if len(oneLine) != 1 || oneLine[0].Rule != "floateq" {
-		t.Errorf("OneLineOnly: want exactly 1 surviving floateq finding, got %v", oneLine)
+	if len(oneLine) != 1 || oneLine[0].Rule != "ctxdiscipline" {
+		t.Errorf("OneLineOnly: want exactly 1 surviving ctxdiscipline finding, got %v", oneLine)
 	}
-	// Unknown rule and missing reason are lint-ignore findings.
+	// Unknown rule, missing reason and missing rule are lint-ignore
+	// findings.
 	if !hasRuleNear(byLine, src["func Unknown"], "lint-ignore") {
 		t.Error("Unknown: missing lint-ignore finding for unknown rule")
 	}
 	if !hasRuleNear(byLine, src["func NoReason"], "lint-ignore") {
 		t.Error("NoReason: missing lint-ignore finding for omitted reason")
+	}
+	if !hasRuleNear(byLine, src["func Malformed"], "lint-ignore") {
+		t.Error("Malformed: missing lint-ignore finding for a comment naming no rule")
 	}
 }
 
@@ -87,6 +89,7 @@ func fixtureLines(t *testing.T, relPath string) map[string]int {
 		for _, marker := range []string{
 			"func Trailing", "func Above", "func Unsuppressed",
 			"func WrongRule", "func OneLineOnly", "func Unknown", "func NoReason",
+			"func Malformed",
 		} {
 			if strings.HasPrefix(line, marker) {
 				idx[marker] = i + 1

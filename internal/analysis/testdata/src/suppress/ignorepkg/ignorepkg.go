@@ -1,49 +1,58 @@
 // Package ignorepkg is a suppression fixture: every placement and
-// failure mode of //echoimage:lint-ignore.
+// failure mode of //echoimage:lint-ignore, exercised on ctxdiscipline's
+// root-context ban.
 package ignorepkg
 
 import "context"
 
+func use(ctx context.Context) error { return ctx.Err() }
+
 // Trailing suppresses on the same line: silenced.
-func Trailing(a, b float64) bool {
-	return a == b //echoimage:lint-ignore floateq fixture: same-line suppression
+func Trailing() error {
+	return use(context.Background()) //echoimage:lint-ignore ctxdiscipline fixture: same-line suppression
 }
 
 // Above suppresses from the line directly above: silenced.
-func Above(a, b float64) bool {
-	//echoimage:lint-ignore floateq fixture: line-above suppression
-	return a == b
+func Above() error {
+	//echoimage:lint-ignore ctxdiscipline fixture: line-above suppression
+	return use(context.Background())
 }
 
 // Unsuppressed stays a violation.
-func Unsuppressed(a, b float64) bool {
-	return a != b
+func Unsuppressed() error {
+	return use(context.TODO())
 }
 
-// WrongRule names a different rule: the floateq finding survives, and
-// the ignore applies (uselessly) to ctxdiscipline.
-func WrongRule(a, b float64) bool {
-	//echoimage:lint-ignore ctxdiscipline fixture: wrong rule, does not silence floateq
-	return a == b
+// WrongRule names a different rule: the ctxdiscipline finding survives,
+// and the ignore applies (uselessly) to goroutinelife.
+func WrongRule() error {
+	//echoimage:lint-ignore goroutinelife fixture: wrong rule, does not silence ctxdiscipline
+	return use(context.Background())
 }
 
-// OneLineOnly shows an ignore reaches exactly one line: the first
-// comparison is silenced, the second is not.
-func OneLineOnly(a, b float64) (bool, bool) {
-	//echoimage:lint-ignore floateq fixture: only the next line is covered
-	x := a == b
-	y := a != b
+// OneLineOnly shows an ignore reaches exactly one line: the first root
+// is silenced, the second is not.
+func OneLineOnly() (error, error) {
+	//echoimage:lint-ignore ctxdiscipline fixture: only the next line is covered
+	x := use(context.Background())
+	y := use(context.Background())
 	return x, y
 }
 
 // Unknown names a rule that does not exist: itself a finding.
-func Unknown(a, b int) bool {
+func Unknown(ctx context.Context) error {
 	//echoimage:lint-ignore nosuchrule fixture: unknown rule
-	return a == b
+	return use(ctx)
 }
 
 // NoReason omits the mandatory reason: itself a finding.
 func NoReason(ctx context.Context) error {
-	//echoimage:lint-ignore floateq
-	return ctx.Err()
+	//echoimage:lint-ignore ctxdiscipline
+	return use(ctx)
+}
+
+// Malformed names no rule at all: itself a finding.
+func Malformed(ctx context.Context) error {
+	//echoimage:lint-ignore
+	return use(ctx)
 }

@@ -17,6 +17,7 @@ import (
 	"testing"
 	"time"
 
+	"echoimage/internal/core"
 	"echoimage/internal/faultnet"
 	"echoimage/internal/proto"
 	"echoimage/internal/telemetry"
@@ -177,10 +178,15 @@ func TestUnhealthyBeforeListenerCloses(t *testing.T) {
 }
 
 // TestRequestTimeoutCancelsPipeline saturates nothing and breaks nothing:
-// it simply configures a request deadline far smaller than capture
-// processing and proves the daemon answers in-band with the retryable
-// `unavailable` code instead of burning the full imaging cost — the
-// per-request context reached the pipeline.
+// it configures a request deadline far smaller than capture processing
+// and checks that the daemon answers in band with the retryable
+// `unavailable` code and counts it. With a 1 ms deadline the request
+// expires while its capture body is decoded, before the pipeline starts,
+// and the test asserts that no preprocess, ranging or imaging stage was
+// observed. So it does not show that the per-request context reaches
+// the pipeline: core.TestProcessContextCancelStopsBeforeImaging covers
+// cancellation mid-pipeline, and the ctxdiscipline lint rule keeps the
+// request's context threaded to it.
 func TestRequestTimeoutCancelsPipeline(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-backed")
@@ -216,6 +222,12 @@ func TestRequestTimeoutCancelsPipeline(t *testing.T) {
 	if got := srv.Telemetry().Counter("echoimage_daemon_errors_total", "",
 		telemetry.L("code", proto.CodeUnavailable)).Value(); got == 0 {
 		t.Error("unavailable error counter did not move")
+	}
+	for _, stage := range []string{core.StagePreprocess, core.StageRanging, core.StageImaging} {
+		if got := srv.Telemetry().Histogram("echoimage_pipeline_stage_seconds", "", nil,
+			telemetry.L("stage", stage)).Value().Count; got != 0 {
+			t.Errorf("stage %s observed %d times, want 0 (request expired before the pipeline)", stage, got)
+		}
 	}
 }
 

@@ -84,7 +84,8 @@ func (f *SOSFilter) filterInPlace(x []float64) {
 			x[j] = y
 		}
 	}
-	//echoimage:lint-ignore floateq skip-if-identity fast path: Gain is exactly 1 when the cascade was never normalized
+	// Exact on purpose: skip-if-identity fast path, Gain is exactly 1
+	// when the cascade was never normalized.
 	if f.Gain != 1 {
 		for j := range x {
 			x[j] *= f.Gain
@@ -221,7 +222,8 @@ func ButterworthBandpass(order int, lo, hi, fs float64) (*SOSFilter, error) {
 	// Normalize unity gain at the digital center frequency.
 	wc := 2 * math.Pi * math.Sqrt(lo*hi) / fs
 	mag := cmplx.Abs(f.Response(wc))
-	//echoimage:lint-ignore floateq division-by-zero guard: only an exactly zero |H| breaks the 1/mag normalization below
+	// Exact on purpose: only an exactly zero |H| breaks the 1/mag
+	// normalization below.
 	if mag == 0 || math.IsNaN(mag) || math.IsInf(mag, 0) {
 		return nil, fmt.Errorf("dsp: degenerate bandpass design (|H|=%g at center)", mag)
 	}

@@ -439,3 +439,36 @@ func TestReplyErrorCarriesCode(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestRetryableCodeClassifiesEveryCode holds the retry decision for every
+// stable code. A code added to Codes without an entry here fails, so the
+// decision is made on purpose rather than defaulting to "permanent".
+func TestRetryableCodeClassifiesEveryCode(t *testing.T) {
+	retryable := map[string]bool{
+		CodeBadRequest:  false,
+		CodeUnknownType: false,
+		CodeNotTrained:  false,
+		CodeProcess:     false,
+		CodeTrain:       false,
+		CodeUnavailable: true,
+		CodeOverloaded:  true,
+		CodeInternal:    false,
+	}
+	listed := map[string]bool{}
+	for _, code := range Codes {
+		listed[code] = true
+		want, ok := retryable[code]
+		if !ok {
+			t.Errorf("code %q is in Codes but has no retry decision here", code)
+			continue
+		}
+		if got := RetryableCode(code); got != want {
+			t.Errorf("RetryableCode(%q) = %v, want %v", code, got, want)
+		}
+	}
+	for code := range retryable {
+		if !listed[code] {
+			t.Errorf("code %q has a retry decision but is missing from Codes", code)
+		}
+	}
+}

@@ -27,8 +27,8 @@ func adminGet(t *testing.T, srv *httptest.Server, path string) (int, string) {
 
 func TestAdminEndpoints(t *testing.T) {
 	reg := NewRegistry()
-	reg.Counter("admin_test_total", "A test counter.", L("kind", "x")).Add(7)
-	reg.Histogram("admin_test_seconds", "A test histogram.", []float64{1}).Observe(0.5)
+	reg.Counter("echoimage_admin_test_total", "A test counter.", L("kind", "x")).Add(7)
+	reg.Histogram("echoimage_admin_test_seconds", "A test histogram.", []float64{1}).Observe(0.5)
 	traces := NewTraceLog(4)
 	tr := NewTrace("req-9", "authenticate")
 	tr.RecordStage("imaging", 3*time.Millisecond)
@@ -47,10 +47,10 @@ func TestAdminEndpoints(t *testing.T) {
 		t.Fatalf("/metrics status %d", code)
 	}
 	for _, want := range []string{
-		"# TYPE admin_test_total counter",
-		`admin_test_total{kind="x"} 7`,
-		`admin_test_seconds_bucket{le="+Inf"} 1`,
-		"admin_test_seconds_count 1",
+		"# TYPE echoimage_admin_test_total counter",
+		`echoimage_admin_test_total{kind="x"} 7`,
+		`echoimage_admin_test_seconds_bucket{le="+Inf"} 1`,
+		"echoimage_admin_test_seconds_count 1",
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("/metrics missing %q in:\n%s", want, body)

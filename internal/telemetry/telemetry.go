@@ -14,7 +14,9 @@ package telemetry
 
 import (
 	"math"
+	"regexp"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -197,14 +199,22 @@ func labelKey(labels []Label) string {
 	return b.String()
 }
 
+// namePattern is the series namespace: one flat, snake_case,
+// echoimage-prefixed space, so dashboards never meet an invented name.
+var namePattern = regexp.MustCompile(`^echoimage_[a-z0-9_]+$`)
+
 // lookup returns the family and labelled metric, creating either as
-// needed. It panics on a kind conflict: metric names are compile-time
-// constants in this codebase, so a clash is a programming error.
+// needed. It panics on a name outside namePattern and on a kind
+// conflict: series are registered at construction, so either is a
+// programming error that the first test building the component hits.
 func (r *Registry) lookup(name, help string, kind metricKind, buckets []float64, labels []Label) *metric {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	f := r.index[name]
 	if f == nil {
+		if !namePattern.MatchString(name) {
+			panic("telemetry: metric name " + strconv.Quote(name) + " does not match " + namePattern.String())
+		}
 		f = &family{name: name, help: help, kind: kind, buckets: buckets, index: make(map[string]*metric)}
 		r.families = append(r.families, f)
 		r.index[name] = f

@@ -13,9 +13,9 @@ import (
 // proof; the totals check that no update is lost.
 func TestConcurrentUpdates(t *testing.T) {
 	reg := NewRegistry()
-	c := reg.Counter("hammer_total", "")
-	g := reg.Gauge("hammer_gauge", "")
-	h := reg.Histogram("hammer_seconds", "", []float64{0.5, 1.5, 2.5})
+	c := reg.Counter("echoimage_hammer_total", "")
+	g := reg.Gauge("echoimage_hammer_gauge", "")
+	h := reg.Histogram("echoimage_hammer_seconds", "", []float64{0.5, 1.5, 2.5})
 
 	const workers = 8
 	const perWorker = 5000
@@ -31,7 +31,7 @@ func TestConcurrentUpdates(t *testing.T) {
 				h.Observe(float64(i % 3)) // 0, 1, 2 → one per bucket
 				// Re-registration from a hot path must return the same
 				// metric, not a fresh one.
-				if reg.Counter("hammer_total", "") != c {
+				if reg.Counter("echoimage_hammer_total", "") != c {
 					panic("counter identity lost")
 				}
 			}
@@ -100,11 +100,11 @@ func TestObserveDuration(t *testing.T) {
 // family headers, label rendering and escaping, histogram expansion.
 func TestWritePrometheusGolden(t *testing.T) {
 	reg := NewRegistry()
-	reg.Counter("demo_requests_total", "Requests handled.", L("type", "auth")).Add(3)
-	reg.Counter("demo_requests_total", "Requests handled.", L("type", "enroll")).Add(1)
-	reg.Gauge("demo_inflight", "In-flight requests.").Set(2)
-	reg.Counter("demo_escapes_total", "", L("path", `a\b"c`)).Inc()
-	h := reg.Histogram("demo_seconds", "Latency.", []float64{0.25, 1})
+	reg.Counter("echoimage_demo_requests_total", "Requests handled.", L("type", "auth")).Add(3)
+	reg.Counter("echoimage_demo_requests_total", "Requests handled.", L("type", "enroll")).Add(1)
+	reg.Gauge("echoimage_demo_inflight", "In-flight requests.").Set(2)
+	reg.Counter("echoimage_demo_escapes_total", "", L("path", `a\b"c`)).Inc()
+	h := reg.Histogram("echoimage_demo_seconds", "Latency.", []float64{0.25, 1})
 	h.Observe(0.1)
 	h.Observe(0.5)
 	h.Observe(3)
@@ -113,22 +113,22 @@ func TestWritePrometheusGolden(t *testing.T) {
 	if err := reg.WritePrometheus(&b); err != nil {
 		t.Fatal(err)
 	}
-	want := `# HELP demo_requests_total Requests handled.
-# TYPE demo_requests_total counter
-demo_requests_total{type="auth"} 3
-demo_requests_total{type="enroll"} 1
-# HELP demo_inflight In-flight requests.
-# TYPE demo_inflight gauge
-demo_inflight 2
-# TYPE demo_escapes_total counter
-demo_escapes_total{path="a\\b\"c"} 1
-# HELP demo_seconds Latency.
-# TYPE demo_seconds histogram
-demo_seconds_bucket{le="0.25"} 1
-demo_seconds_bucket{le="1"} 2
-demo_seconds_bucket{le="+Inf"} 3
-demo_seconds_sum 3.6
-demo_seconds_count 3
+	want := `# HELP echoimage_demo_requests_total Requests handled.
+# TYPE echoimage_demo_requests_total counter
+echoimage_demo_requests_total{type="auth"} 3
+echoimage_demo_requests_total{type="enroll"} 1
+# HELP echoimage_demo_inflight In-flight requests.
+# TYPE echoimage_demo_inflight gauge
+echoimage_demo_inflight 2
+# TYPE echoimage_demo_escapes_total counter
+echoimage_demo_escapes_total{path="a\\b\"c"} 1
+# HELP echoimage_demo_seconds Latency.
+# TYPE echoimage_demo_seconds histogram
+echoimage_demo_seconds_bucket{le="0.25"} 1
+echoimage_demo_seconds_bucket{le="1"} 2
+echoimage_demo_seconds_bucket{le="+Inf"} 3
+echoimage_demo_seconds_sum 3.6
+echoimage_demo_seconds_count 3
 `
 	if got := b.String(); got != want {
 		t.Errorf("exposition mismatch:\n--- got ---\n%s--- want ---\n%s", got, want)
@@ -137,15 +137,15 @@ demo_seconds_count 3
 
 func TestSnapshot(t *testing.T) {
 	reg := NewRegistry()
-	reg.Counter("c_total", "count", L("k", "v")).Add(5)
-	reg.Gauge("g", "gauge").Set(-2)
-	reg.Histogram("h_seconds", "hist", []float64{1}).Observe(0.5)
+	reg.Counter("echoimage_c_total", "count", L("k", "v")).Add(5)
+	reg.Gauge("echoimage_g", "gauge").Set(-2)
+	reg.Histogram("echoimage_h_seconds", "hist", []float64{1}).Observe(0.5)
 
 	snap := reg.Snapshot()
 	if len(snap) != 3 {
 		t.Fatalf("%d families", len(snap))
 	}
-	if snap[0].Name != "c_total" || snap[0].Kind != "counter" ||
+	if snap[0].Name != "echoimage_c_total" || snap[0].Kind != "counter" ||
 		*snap[0].Metrics[0].Value != 5 || snap[0].Metrics[0].Labels["k"] != "v" {
 		t.Errorf("counter snapshot %+v", snap[0])
 	}
@@ -165,8 +165,8 @@ func TestSnapshot(t *testing.T) {
 // up registers nothing new.
 func TestLabelSetRoutesUnlistedToOther(t *testing.T) {
 	reg := NewRegistry()
-	cs := reg.CounterSet("req_total", "requests", "type", "a", "b")
-	hs := reg.HistogramSet("req_seconds", "latency", "type", "a", "b")
+	cs := reg.CounterSet("echoimage_req_total", "requests", "type", "a", "b")
+	hs := reg.HistogramSet("echoimage_req_seconds", "latency", "type", "a", "b")
 	series := func() int {
 		n := 0
 		for _, f := range reg.Snapshot() {
@@ -186,16 +186,16 @@ func TestLabelSetRoutesUnlistedToOther(t *testing.T) {
 	if got := series(); got != 6 {
 		t.Errorf("%d series after unlisted lookups, want still 6", got)
 	}
-	if cs.With("a") != reg.Counter("req_total", "", L("type", "a")) {
+	if cs.With("a") != reg.Counter("echoimage_req_total", "", L("type", "a")) {
 		t.Error(`CounterSet "a" is not the registry's series`)
 	}
-	if got := reg.Counter("req_total", "", L("type", "other")).Value(); got != 2 {
+	if got := reg.Counter("echoimage_req_total", "", L("type", "other")).Value(); got != 2 {
 		t.Errorf(`"other" counter %d, want 2`, got)
 	}
 	if got := cs.With("b").Value(); got != 0 {
 		t.Errorf(`"b" counter %d, want 0`, got)
 	}
-	if got := reg.Histogram("req_seconds", "", nil, L("type", "other")).Value().Count; got != 1 {
+	if got := reg.Histogram("echoimage_req_seconds", "", nil, L("type", "other")).Value().Count; got != 1 {
 		t.Errorf(`"other" histogram count %d, want 1`, got)
 	}
 	if got := hs.With("b").Value().Count; got != 1 {
@@ -204,14 +204,46 @@ func TestLabelSetRoutesUnlistedToOther(t *testing.T) {
 }
 
 func TestRegistryKindConflictPanics(t *testing.T) {
+	reg := NewRegistry()
+	reg.Counter("echoimage_x", "")
 	defer func() {
 		if recover() == nil {
 			t.Error("no panic on kind conflict")
 		}
 	}()
-	reg := NewRegistry()
-	reg.Counter("x", "")
-	reg.Gauge("x", "")
+	reg.Gauge("echoimage_x", "")
+}
+
+// TestRegistryRefusesOutOfNamespaceName checks the series-name contract
+// at registration: a name outside ^echoimage_[a-z0-9_]+$ panics for
+// every kind, while a valid name registers and re-registers quietly.
+func TestRegistryRefusesOutOfNamespaceName(t *testing.T) {
+	register := map[string]func(*Registry, string){
+		"Counter":      func(r *Registry, n string) { r.Counter(n, "") },
+		"Gauge":        func(r *Registry, n string) { r.Gauge(n, "") },
+		"Histogram":    func(r *Registry, n string) { r.Histogram(n, "", nil) },
+		"CounterSet":   func(r *Registry, n string) { r.CounterSet(n, "", "k", "a") },
+		"HistogramSet": func(r *Registry, n string) { r.HistogramSet(n, "", "k", "a") },
+	}
+	panics := func(f func()) (p bool) {
+		defer func() { p = recover() != nil }()
+		f()
+		return false
+	}
+	for kind, reg := range register {
+		for _, name := range []string{"bad-dashes", "Echoimage_upper_total", ""} {
+			if !panics(func() { reg(NewRegistry(), name) }) {
+				t.Errorf("%s(%q) registered without a panic", kind, name)
+			}
+		}
+		r := NewRegistry()
+		if panics(func() { reg(r, "echoimage_ok_total") }) {
+			t.Errorf("%s(%q) panicked on a valid name", kind, "echoimage_ok_total")
+		}
+		if panics(func() { reg(r, "echoimage_ok_total") }) {
+			t.Errorf("%s(%q) panicked on re-registration", kind, "echoimage_ok_total")
+		}
+	}
 }
 
 func TestTraceLog(t *testing.T) {
