@@ -340,6 +340,42 @@ func BenchmarkDistanceEstimate(b *testing.B) {
 	}
 }
 
+// stageTotals sums stage durations across benchmark iterations.
+type stageTotals map[string]time.Duration
+
+func (s stageTotals) RecordStage(stage string, d time.Duration) { s[stage] += d }
+
+// BenchmarkProcessCapture12 measures the whole sensing front end
+// (preprocess → ranging → imaging) on a 12-beep capture with a background
+// reference and a noise-only recording, on the daemon's 36×36 grid. The
+// six 24,000-sample noise-only channels are a large share of preprocess,
+// so this is the benchmark that sees them. Per-stage means are reported
+// as preprocess-ms/op and imaging-ms/op.
+func BenchmarkProcessCapture12(b *testing.B) {
+	cfg := core.DefaultConfig()
+	cfg.GridRows, cfg.GridCols = 36, 36
+	cfg.GridSpacingM = 0.05
+	sys, err := core.NewSystem(cfg, array.ReSpeaker())
+	if err != nil {
+		b.Fatal(err)
+	}
+	cap, noiseOnly, err := echoimage.Simulate(echoimage.SimulateSpec{UserID: 3, DistanceM: 0.7, Beeps: 12, Seed: 42})
+	if err != nil {
+		b.Fatal(err)
+	}
+	stages := stageTotals{}
+	b.ResetTimer()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := sys.ProcessRecordedContext(context.Background(), cap, noiseOnly, stages); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for _, stage := range []string{core.StagePreprocess, core.StageImaging} {
+		b.ReportMetric(float64(stages[stage].Microseconds())/1e3/float64(b.N), stage+"-ms/op")
+	}
+}
+
 // BenchmarkImageConstruction36 measures imaging one beep on the CI-scale
 // 36×36 grid.
 func BenchmarkImageConstruction36(b *testing.B) {

@@ -1,0 +1,151 @@
+package echoimage_test
+
+import (
+	"bytes"
+	"context"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"hash"
+	"math"
+	"testing"
+
+	"echoimage"
+	"echoimage/internal/features"
+)
+
+// The front end (bandpass, analytic conversion, noise covariance, MVDR
+// imaging) and the frozen feature extractor are pure functions of their
+// inputs, so their output bits are pinned: a speed change that reorders
+// one floating-point sum changes a hash here. A deliberate change to what
+// the pipeline computes re-records the hashes and says why.
+const (
+	pinnedImagesSHA   = "0f6d94dd61addcf74fe3a5c6644a25eb87c0d0060d64fd73b9a80d4935f105d4"
+	pinnedFeaturesSHA = "50b2bd993fc4c7fdfadbcf2f3b0eadeb7bd14e175d6600cbd18a7b15fb4f6a95"
+	pinnedModelSHA    = "e0f072c933edeb505c9c285ca4e4772d0d78fa3812c39eca60bc5ad8ecde4fe0"
+)
+
+// pinConfig is the CI-scale imaging grid: small enough for -race, large
+// enough that every stage runs its general path.
+func pinConfig() echoimage.Config {
+	cfg := echoimage.DefaultConfig()
+	cfg.GridRows, cfg.GridCols = 36, 36
+	cfg.GridSpacingM = 0.05
+	return cfg
+}
+
+func hashFloats(h hash.Hash, xs ...float64) {
+	var buf [8]byte
+	for _, x := range xs {
+		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(x))
+		h.Write(buf[:])
+	}
+}
+
+func hashResult(h hash.Hash, res *echoimage.ProcessResult) {
+	if res.Distance != nil {
+		hashFloats(h, res.Distance.SlantM, res.Distance.UserM, res.Distance.EmissionSec)
+	}
+	for _, img := range res.Images {
+		hashFloats(h, float64(img.Rows), float64(img.Cols), img.PlaneDistM)
+		hashFloats(h, img.Pix...)
+	}
+}
+
+func processPinCapture(t *testing.T, cfg echoimage.Config) *echoimage.ProcessResult {
+	t.Helper()
+	sys, err := echoimage.NewSystem(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cap, noiseOnly, err := echoimage.Simulate(echoimage.SimulateSpec{
+		UserID: 3, DistanceM: 0.7, Beeps: 12, Seed: 42,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cap.Reference == nil || noiseOnly == nil {
+		t.Fatal("simulated capture lacks a reference or a noise-only recording")
+	}
+	res, err := sys.ProcessRecordedContext(context.Background(), cap, noiseOnly, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Images) != 12 {
+		t.Fatalf("%d images, want 12", len(res.Images))
+	}
+	return res
+}
+
+// TestFrontEndBitsPinned hashes the images and feature vectors of one
+// fixed 12-beep capture (with background reference and noise-only
+// recording), and the snapshot of a model trained on a fixed small
+// enrollment, against hashes recorded before the preprocess fan-out and
+// the branch-free conv interior landed.
+func TestFrontEndBitsPinned(t *testing.T) {
+	res := processPinCapture(t, pinConfig())
+	ih := sha256.New()
+	hashResult(ih, res)
+
+	ext, err := features.NewExtractor(features.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	fh := sha256.New()
+	for _, img := range res.Images {
+		hashFloats(fh, ext.Extract(img.Image)...)
+	}
+
+	sys, err := echoimage.NewSystem(pinConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	enrollment := make(map[int][]*echoimage.AcousticImage)
+	for _, id := range []int{1, 2} {
+		for session := 1; session <= 2; session++ {
+			imgs, err := echoimage.SimulateImages(context.Background(), sys, echoimage.SimulateSpec{
+				UserID: id, DistanceM: 0.7, Beeps: 5, Session: session, Seed: int64(10*id + session),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			enrollment[id] = append(enrollment[id], imgs...)
+		}
+	}
+	auth, err := echoimage.Train(context.Background(), echoimage.DefaultAuthConfig(), enrollment)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap bytes.Buffer
+	if err := auth.Save(&snap); err != nil {
+		t.Fatal(err)
+	}
+	mh := sha256.Sum256(snap.Bytes())
+
+	for _, c := range []struct{ what, got, want string }{
+		{"images", hex.EncodeToString(ih.Sum(nil)), pinnedImagesSHA},
+		{"features", hex.EncodeToString(fh.Sum(nil)), pinnedFeaturesSHA},
+		{"model snapshot", hex.EncodeToString(mh[:]), pinnedModelSHA},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s hash %s, pinned %s", c.what, c.got, c.want)
+		}
+	}
+}
+
+// TestProcessWorkersIdentical checks that the worker count is invisible
+// in ProcessRecordedContext's output: the sequential path and a pool of
+// four produce the same bits.
+func TestProcessWorkersIdentical(t *testing.T) {
+	var sums [2][]byte
+	for i, workers := range []int{1, 4} {
+		cfg := pinConfig()
+		cfg.Workers = workers
+		h := sha256.New()
+		hashResult(h, processPinCapture(t, cfg))
+		sums[i] = h.Sum(nil)
+	}
+	if !bytes.Equal(sums[0], sums[1]) {
+		t.Errorf("Workers=1 hash %x != Workers=4 hash %x", sums[0], sums[1])
+	}
+}

@@ -102,7 +102,10 @@ type Config struct {
 	// supplied.
 	NoiseTailFrac float64
 
-	// Workers caps the imaging worker pool; 0 means GOMAXPROCS.
+	// Workers caps the worker pools of one capture's processing: the
+	// preprocess pool (one task per channel) and the imaging pools (plan
+	// rows, (beep, row) renders). 0 means GOMAXPROCS. The output is
+	// identical for any value.
 	Workers int
 }
 

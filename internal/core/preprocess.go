@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"echoimage/internal/beamform"
 	"echoimage/internal/cmat"
@@ -35,6 +36,16 @@ type preprocessed struct {
 // covariance. When noiseOnly is non-nil it is used for the covariance
 // estimate; otherwise the trailing NoiseTailFrac of each beep window is
 // used, where body echoes have died out.
+//
+// Every channel — each noise-only channel, each reference channel, each
+// background-subtracted (beep, mic) channel — is filtered and converted
+// independently, so the channels run as tasks over a pool of
+// effectiveWorkers(cfg.Workers, tasks) goroutines, the long noise-only
+// channels queued first. The sums that cross channels (reference energy,
+// noise power, covariance) run on the calling goroutine after the pool
+// drains, in channel order, so the result is bit-identical for any worker
+// count. With CovShrinkage ≥ 1 the covariance estimate would be replaced
+// by I wholesale, so it is not computed.
 func preprocess(cfg Config, cap *Capture, noiseOnly [][]float64) (*preprocessed, error) {
 	mics, samples, err := cap.Validate()
 	if err != nil {
@@ -44,26 +55,49 @@ func preprocess(cfg Config, cap *Capture, noiseOnly [][]float64) (*preprocessed,
 	if err != nil {
 		return nil, fmt.Errorf("core: design bandpass: %w", err)
 	}
+	if noiseOnly != nil && len(noiseOnly) != mics {
+		return nil, fmt.Errorf("core: noise capture has %d channels, want %d", len(noiseOnly), mics)
+	}
+	for m, ch := range noiseOnly {
+		if len(ch) == 0 || len(ch) != len(noiseOnly[0]) {
+			return nil, fmt.Errorf("core: noise mic %d has %d samples; mics need equal non-zero lengths (mic 0 has %d)", m, len(ch), len(noiseOnly[0]))
+		}
+	}
+
+	fe := &frontEnd{
+		cfg:       cfg,
+		cap:       cap,
+		filter:    filter,
+		noiseOnly: noiseOnly,
+		noise:     make([][]complex128, len(noiseOnly)),
+		ref:       make([][]complex128, len(cap.Reference)),
+		analytic:  make([][][]complex128, len(cap.Beeps)),
+		mics:      mics,
+		directIdx: -1,
+	}
+	for l := range fe.analytic {
+		fe.analytic[l] = make([][]complex128, mics)
+	}
+	fe.run(effectiveWorkers(cfg.Workers, fe.tasks()))
 
 	p := &preprocessed{
-		analytic:     make([][][]complex128, len(cap.Beeps)),
+		analytic:     fe.analytic,
 		samples:      samples,
 		mics:         mics,
-		refDirectIdx: -1,
+		refDirectIdx: fe.directIdx,
+	}
+	if cfg.CovShrinkage >= 1 {
+		// Full shrinkage, (1−s)·ρ + s·I, is I whatever ρ is.
+		p.noiseCov = cmat.Identity(mics)
 	}
 	if cap.Reference != nil {
-		// The reference carries the direct path; measure its arrival and
-		// level once for ranging and image calibration.
-		filtered := filter.FiltFilt(cap.Reference[0])
-		env := dsp.Envelope(chirpFilterPlan(cfg.Chirp).MatchedFilter(filtered))
-		p.refDirectIdx = dsp.ArgMax(env)
+		// The reference carries the direct path; its arrival and level
+		// calibrate ranging and the images.
 		lo := p.refDirectIdx
 		hi := lo + int(cfg.Chirp.Duration*cap.SampleRate)
 		var energy float64
 		var count int
-		for m := 0; m < mics; m++ {
-			f := filter.FiltFilt(cap.Reference[m])
-			a := dsp.AnalyticSignal(f)
+		for _, a := range fe.ref {
 			end := hi
 			if end > len(a) {
 				end = len(a)
@@ -78,46 +112,17 @@ func preprocess(cfg Config, cap *Capture, noiseOnly [][]float64) (*preprocessed,
 			p.refRMS = math.Sqrt(energy / float64(count))
 		}
 	}
-	for l, beep := range cap.Beeps {
-		chans := make([][]complex128, mics)
-		for m, ch := range beep {
-			src := ch
-			if cap.Reference != nil {
-				// Background subtraction: cancel the static empty-scene
-				// response (direct path, walls, furniture).
-				ref := cap.Reference[m]
-				n := len(src)
-				if len(ref) < n {
-					n = len(ref)
-				}
-				cleaned := make([]float64, len(src))
-				copy(cleaned, src)
-				for i := 0; i < n; i++ {
-					cleaned[i] -= ref[i]
-				}
-				src = cleaned
-			}
-			filtered := filter.FiltFilt(src)
-			chans[m] = dsp.AnalyticSignal(filtered)
-		}
-		p.analytic[l] = chans
-	}
 
 	if noiseOnly != nil {
-		if len(noiseOnly) != mics {
-			return nil, fmt.Errorf("core: noise capture has %d channels, want %d", len(noiseOnly), mics)
+		chans := fe.noise
+		if p.noiseCov == nil {
+			cov, err := beamform.EstimateCovariance(chans, 0, len(chans[0]), cfg.CovLoading)
+			if err != nil {
+				return nil, fmt.Errorf("core: noise covariance: %w", err)
+			}
+			shrinkCovariance(cov, cfg.CovShrinkage)
+			p.noiseCov = cov
 		}
-		chans := make([][]complex128, mics)
-		for m, ch := range noiseOnly {
-			filtered := filter.FiltFilt(ch)
-			chans[m] = dsp.AnalyticSignal(filtered)
-		}
-		cov, err := beamform.EstimateCovariance(chans, 0, len(chans[0]), cfg.CovLoading)
-		if err != nil {
-			return nil, fmt.Errorf("core: noise covariance: %w", err)
-		}
-		shrinkCovariance(cov, cfg.CovShrinkage)
-		p.noiseCov = cov
 		var power float64
 		var count int
 		for _, ch := range chans {
@@ -140,24 +145,26 @@ func preprocess(cfg Config, cap *Capture, noiseOnly [][]float64) (*preprocessed,
 	if start >= samples-1 {
 		start = samples - 2
 	}
-	var acc *cmat.Matrix
-	for _, chans := range p.analytic {
-		cov, err := beamform.EstimateCovariance(chans, start, samples, 0)
-		if err != nil {
-			return nil, fmt.Errorf("core: tail covariance: %w", err)
-		}
-		if acc == nil {
-			acc = cov
-		} else {
-			for i := range acc.Data {
-				acc.Data[i] += cov.Data[i]
+	if p.noiseCov == nil {
+		var acc *cmat.Matrix
+		for _, chans := range p.analytic {
+			cov, err := beamform.EstimateCovariance(chans, start, samples, 0)
+			if err != nil {
+				return nil, fmt.Errorf("core: tail covariance: %w", err)
+			}
+			if acc == nil {
+				acc = cov
+			} else {
+				for i := range acc.Data {
+					acc.Data[i] += cov.Data[i]
+				}
 			}
 		}
+		acc.Scale(complex(1/float64(len(p.analytic)), 0))
+		acc.AddScaledIdentity(complex(cfg.CovLoading, 0))
+		shrinkCovariance(acc, cfg.CovShrinkage)
+		p.noiseCov = acc
 	}
-	acc.Scale(complex(1/float64(len(p.analytic)), 0))
-	acc.AddScaledIdentity(complex(cfg.CovLoading, 0))
-	shrinkCovariance(acc, cfg.CovShrinkage)
-	p.noiseCov = acc
 	var power float64
 	var count int
 	for _, chans := range p.analytic {
@@ -175,14 +182,95 @@ func preprocess(cfg Config, cap *Capture, noiseOnly [][]float64) (*preprocessed,
 	return p, nil
 }
 
+// frontEnd is one preprocess call's channel work: the inputs, and one
+// output slot per task. Task indices run over the noise-only channels
+// first (each several times longer than a beep channel), then the
+// reference channels, then every (beep, mic) channel; each task writes
+// only its own slot.
+type frontEnd struct {
+	cfg       Config
+	cap       *Capture
+	filter    *dsp.SOSFilter
+	noiseOnly [][]float64
+	mics      int
+
+	noise    [][]complex128   // [mic] analytic noise-only channels
+	ref      [][]complex128   // [mic] analytic reference channels
+	analytic [][][]complex128 // [beep][mic] analytic beep channels
+	// directIdx is the direct-path arrival on reference mic 0, written by
+	// that channel's task.
+	directIdx int
+}
+
+func (fe *frontEnd) tasks() int {
+	return len(fe.noise) + len(fe.ref) + len(fe.analytic)*fe.mics
+}
+
+// run executes every task over workers goroutines and returns once all
+// of them are done. Each worker owns one background-subtraction scratch
+// buffer for the whole call.
+func (fe *frontEnd) run(workers int) {
+	tasks := make(chan int)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var scratch []float64
+			for i := range tasks {
+				scratch = fe.do(i, scratch)
+			}
+		}()
+	}
+	for i := 0; i < fe.tasks(); i++ {
+		tasks <- i
+	}
+	close(tasks)
+	wg.Wait()
+}
+
+// do runs task i and returns the (possibly grown) scratch buffer.
+func (fe *frontEnd) do(i int, scratch []float64) []float64 {
+	if i < len(fe.noise) {
+		fe.noise[i] = dsp.AnalyticSignal(fe.filter.FiltFilt(fe.noiseOnly[i]))
+		return scratch
+	}
+	i -= len(fe.noise)
+	if i < len(fe.ref) {
+		filtered := fe.filter.FiltFilt(fe.cap.Reference[i])
+		fe.ref[i] = dsp.AnalyticSignal(filtered)
+		if i == 0 {
+			env := dsp.Envelope(chirpFilterPlan(fe.cfg.Chirp).MatchedFilter(filtered))
+			fe.directIdx = dsp.ArgMax(env)
+		}
+		return scratch
+	}
+	i -= len(fe.ref)
+	l, m := i/fe.mics, i%fe.mics
+	src := fe.cap.Beeps[l][m]
+	if fe.cap.Reference != nil {
+		// Background subtraction: cancel the static empty-scene response
+		// (direct path, walls, furniture).
+		ref := fe.cap.Reference[m]
+		n := len(src)
+		if len(ref) < n {
+			n = len(ref)
+		}
+		scratch = append(scratch[:0], src...)
+		for t := 0; t < n; t++ {
+			scratch[t] -= ref[t]
+		}
+		src = scratch
+	}
+	fe.analytic[l][m] = dsp.AnalyticSignal(fe.filter.FiltFilt(src))
+	return scratch
+}
+
 // shrinkCovariance blends a normalized covariance toward identity in place:
-// ρ ← (1−s)·ρ + s·I.
+// ρ ← (1−s)·ρ + s·I, for s < 1 (preprocess builds I itself for s ≥ 1).
 func shrinkCovariance(cov *cmat.Matrix, s float64) {
 	if s <= 0 {
 		return
-	}
-	if s > 1 {
-		s = 1
 	}
 	cov.Scale(complex(1-s, 0))
 	cov.AddScaledIdentity(complex(s, 0))

@@ -267,6 +267,13 @@ func (e *Extractor) forward(b convBlock, in [][]float64, size, workers int) [][]
 }
 
 // forwardOne computes one output channel of a conv block.
+//
+// Pixels in rows and columns 1..size-2 see all nine taps, so they run a
+// branch-free path over three pre-sliced source rows with the weights in
+// locals; only the edge pixels test each tap against the image border.
+// Both paths sum a pixel's taps into a zeroed accumulator in ky-major,
+// kx-minor order and then add that sum to the output, so they round
+// identically and the output does not depend on which path ran.
 func (e *Extractor) forwardOne(b convBlock, in [][]float64, size, o int) []float64 {
 	half := size / 2
 	conv := e.getBuf(size * size)
@@ -276,25 +283,38 @@ func (e *Extractor) forwardOne(b convBlock, in [][]float64, size, o int) []float
 	for ic := 0; ic < b.inCh; ic++ {
 		src := in[ic]
 		k := b.weights[o][ic]
-		for y := 0; y < size; y++ {
-			for x := 0; x < size; x++ {
+		k0, k1, k2 := k[0], k[1], k[2]
+		k3, k4, k5 := k[3], k[4], k[5]
+		k6, k7, k8 := k[6], k[7], k[8]
+		for y := 1; y < size-1; y++ {
+			// Equal-length rows let the compiler drop most index checks.
+			out := conv[y*size : (y+1)*size]
+			up := src[(y-1)*size : y*size][:len(out)]
+			mid := src[y*size : (y+1)*size][:len(out)]
+			dn := src[(y+1)*size : (y+2)*size][:len(out)]
+			for x := 1; x+1 < len(out); x++ {
 				var s float64
-				for ky := -1; ky <= 1; ky++ {
-					yy := y + ky
-					if yy < 0 || yy >= size {
-						continue
-					}
-					row := yy * size
-					kRow := (ky + 1) * 3
-					for kx := -1; kx <= 1; kx++ {
-						xx := x + kx
-						if xx < 0 || xx >= size {
-							continue
-						}
-						s += src[row+xx] * k[kRow+kx+1]
-					}
-				}
-				conv[y*size+x] += s
+				s += up[x-1] * k0
+				s += up[x] * k1
+				s += up[x+1] * k2
+				s += mid[x-1] * k3
+				s += mid[x] * k4
+				s += mid[x+1] * k5
+				s += dn[x-1] * k6
+				s += dn[x] * k7
+				s += dn[x+1] * k8
+				out[x] += s
+			}
+		}
+		// The edge: whole first and last rows, first and last columns of
+		// the rows between.
+		for y := 0; y < size; y++ {
+			step := size - 1
+			if y == 0 || y == size-1 {
+				step = 1
+			}
+			for x := 0; x < size; x += step {
+				conv[y*size+x] += edgeTaps(src, k, size, y, x)
 			}
 		}
 	}
@@ -316,4 +336,26 @@ func (e *Extractor) forwardOne(b convBlock, in [][]float64, size, o int) []float
 	}
 	e.putBuf(conv)
 	return pooled
+}
+
+// edgeTaps sums the in-bounds taps of the 3×3 kernel k centered on pixel
+// (y, x) of a size×size plane, ky-major and kx-minor.
+func edgeTaps(src, k []float64, size, y, x int) float64 {
+	var s float64
+	for ky := -1; ky <= 1; ky++ {
+		yy := y + ky
+		if yy < 0 || yy >= size {
+			continue
+		}
+		row := yy * size
+		kRow := (ky + 1) * 3
+		for kx := -1; kx <= 1; kx++ {
+			xx := x + kx
+			if xx < 0 || xx >= size {
+				continue
+			}
+			s += src[row+xx] * k[kRow+kx+1]
+		}
+	}
+	return s
 }
