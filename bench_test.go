@@ -479,9 +479,11 @@ func BenchmarkFeatureExtraction(b *testing.B) {
 	}
 }
 
-// BenchmarkExtractParallel compares the frozen-CNN forward pass with the
-// conv channels fanned over the worker pool against the sequential path.
-func BenchmarkExtractParallel(b *testing.B) {
+// BenchmarkAuthenticateMajority12 measures one majority decision over the
+// 12 images of one capture on a pre-trained model: the images' feature
+// extraction fanned out one image per worker, then search, classify and
+// the vote.
+func BenchmarkAuthenticateMajority12(b *testing.B) {
 	cfg := core.DefaultConfig()
 	cfg.GridRows, cfg.GridCols = 36, 36
 	cfg.GridSpacingM = 0.05
@@ -489,29 +491,21 @@ func BenchmarkExtractParallel(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	res, err := sys.ProcessAtDistance(context.Background(), benchCapture(b, 1), 0.7, 0.005, nil)
+	res, err := sys.ProcessAtDistance(context.Background(), benchCapture(b, 12), 0.7, 0.005, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
-	imgs := res.Images
-	for _, workers := range []int{1, 0} {
-		name := "workers=1"
-		if workers == 0 {
-			name = "workers=max"
+	auth, err := core.TrainAuthenticator(context.Background(), core.DefaultAuthConfig(),
+		map[int][]*core.AcousticImage{1: res.Images})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := auth.AuthenticateMajorityRecorded(res.Images, nil); err != nil {
+			b.Fatal(err)
 		}
-		b.Run(name, func(b *testing.B) {
-			fcfg := features.DefaultConfig()
-			fcfg.Workers = workers
-			ext, err := features.NewExtractor(fcfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				_ = ext.Extract(imgs[0].Image)
-			}
-		})
 	}
 }
 

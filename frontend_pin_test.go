@@ -8,7 +8,10 @@ import (
 	"encoding/hex"
 	"hash"
 	"math"
+	"runtime"
+	"slices"
 	"testing"
+	"time"
 
 	"echoimage"
 	"echoimage/internal/features"
@@ -19,10 +22,15 @@ import (
 // inputs, so their output bits are pinned: a speed change that reorders
 // one floating-point sum changes a hash here. A deliberate change to what
 // the pipeline computes re-records the hashes and says why.
+//
+// The model hash was re-recorded once, when features.Config lost its
+// Workers field: the snapshot JSON no longer carries the two "Workers":0
+// keys, and is otherwise byte for byte the same
+// (core.TestLoadSnapshotWithWorkersKey).
 const (
 	pinnedImagesSHA   = "0f6d94dd61addcf74fe3a5c6644a25eb87c0d0060d64fd73b9a80d4935f105d4"
 	pinnedFeaturesSHA = "50b2bd993fc4c7fdfadbcf2f3b0eadeb7bd14e175d6600cbd18a7b15fb4f6a95"
-	pinnedModelSHA    = "e0f072c933edeb505c9c285ca4e4772d0d78fa3812c39eca60bc5ad8ecde4fe0"
+	pinnedModelSHA    = "d1ecd7f95e5fd32db5379fabf330240b655b3a8c35b53be1ef5f27d5740338fe"
 )
 
 // pinConfig is the CI-scale imaging grid: small enough for -race, large
@@ -133,19 +141,81 @@ func TestFrontEndBitsPinned(t *testing.T) {
 	}
 }
 
+// setGOMAXPROCS sets GOMAXPROCS for the rest of the test and restores the
+// previous value when it ends. No test in this package runs in parallel.
+func setGOMAXPROCS(t *testing.T, n int) {
+	t.Helper()
+	prev := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
+
 // TestProcessWorkersIdentical checks that the worker count is invisible
-// in ProcessRecordedContext's output: the sequential path and a pool of
-// four produce the same bits.
+// in ProcessRecordedContext's output: one worker and a pool of four
+// produce the same bits.
 func TestProcessWorkersIdentical(t *testing.T) {
 	var sums [2][]byte
-	for i, workers := range []int{1, 4} {
-		cfg := pinConfig()
-		cfg.Workers = workers
+	for i, procs := range []int{1, 4} {
+		setGOMAXPROCS(t, procs)
 		h := sha256.New()
-		hashResult(h, processPinCapture(t, cfg))
+		hashResult(h, processPinCapture(t, pinConfig()))
 		sums[i] = h.Sum(nil)
 	}
 	if !bytes.Equal(sums[0], sums[1]) {
-		t.Errorf("Workers=1 hash %x != Workers=4 hash %x", sums[0], sums[1])
+		t.Errorf("GOMAXPROCS=1 hash %x != GOMAXPROCS=4 hash %x", sums[0], sums[1])
+	}
+}
+
+// stageLog records the stage names a StageRecorder receives, in order.
+// It takes no lock, so -race flags a recorder call from a worker.
+type stageLog []string
+
+func (l *stageLog) RecordStage(stage string, _ time.Duration) { *l = append(*l, stage) }
+
+// TestAuthenticateMajorityWorkersIdentical checks that the image fan-out
+// of AuthenticateMajorityRecorded is invisible in its decision: one worker
+// and a pool of four give the same AuthResult, GateScore bits included,
+// on a 12-image capture of an enrolled user. It also checks the recorder
+// contract: one features span, then index-search and classify per image.
+func TestAuthenticateMajorityWorkersIdentical(t *testing.T) {
+	sys, err := echoimage.NewSystem(pinConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	enrollment := make(map[int][]*echoimage.AcousticImage)
+	for _, id := range []int{1, 3} {
+		imgs, err := echoimage.SimulateImages(context.Background(), sys, echoimage.SimulateSpec{
+			UserID: id, DistanceM: 0.7, Beeps: 6, Session: 1, Seed: int64(10 * id),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		enrollment[id] = imgs
+	}
+	auth, err := echoimage.Train(context.Background(), echoimage.DefaultAuthConfig(), enrollment)
+	if err != nil {
+		t.Fatal(err)
+	}
+	imgs := processPinCapture(t, pinConfig()).Images
+
+	var results [2]echoimage.AuthResult
+	for i, procs := range []int{1, 4} {
+		setGOMAXPROCS(t, procs)
+		var log stageLog
+		results[i], err = auth.AuthenticateMajorityRecorded(imgs, &log)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := []string{"features"}
+		for range imgs {
+			want = append(want, "index_search", "classify")
+		}
+		if !slices.Equal(log, want) {
+			t.Errorf("GOMAXPROCS=%d: stages %v, want %v", procs, log, want)
+		}
+	}
+	a, b := results[0], results[1]
+	if a.Accepted != b.Accepted || a.UserID != b.UserID || a.Bin != b.Bin ||
+		math.Float64bits(a.GateScore) != math.Float64bits(b.GateScore) {
+		t.Errorf("GOMAXPROCS=1 result %+v != GOMAXPROCS=4 result %+v", a, b)
 	}
 }

@@ -104,22 +104,22 @@ type Authenticator struct {
 	bins      map[int]*binModel
 	binWidth  float64
 	users     []int
-	scratch   sync.Pool // *authScratch, reused across authentications
+	scratch   sync.Pool // *authScratch, reused across index searches
 }
 
-// authScratch is the per-call working memory of authenticate: the
-// whitened feature vector and the float32 query embedding. Pooled so the
-// hot path allocates nothing for whitening or projection once warm.
+// authScratch is the per-call working memory of an index search: the
+// float32 query embedding. Pooled so the hot path allocates nothing for
+// projection once warm.
 type authScratch struct {
-	white []float64
-	q     []float32
+	q []float32
 }
 
 // TrainAuthenticator fits the classifier stack from enrollment images,
-// keyed by registered user ID (IDs must be positive). The context is
-// checked between feature extraction passes and between per-bin model
-// fits, so a background retrain worker can abandon a train whose
-// enrollment snapshot has become obsolete.
+// keyed by registered user ID (IDs must be positive). The images are
+// feature-extracted in parallel, one image per task. The context is
+// checked between extractions and between per-bin model fits, so a
+// background retrain worker can abandon a train whose enrollment snapshot
+// has become obsolete.
 func TrainAuthenticator(ctx context.Context, cfg AuthConfig, enrollment map[int][]*AcousticImage) (*Authenticator, error) {
 	if len(enrollment) == 0 {
 		return nil, fmt.Errorf("core: no enrollment data")
@@ -137,32 +137,14 @@ func TrainAuthenticator(ctx context.Context, cfg AuthConfig, enrollment map[int]
 	}
 	sort.Ints(users)
 
-	type binData struct {
-		x      [][]float64
-		labels []int
-	}
-	binSets := make(map[int]*binData)
 	for _, id := range users {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("core: train cancelled: %w", err)
-		}
-		imgs := enrollment[id]
-		if len(imgs) == 0 {
+		if len(enrollment[id]) == 0 {
 			return nil, fmt.Errorf("core: user %d has no enrollment images", id)
 		}
-		for _, img := range imgs {
-			if img == nil || img.Image == nil {
-				return nil, fmt.Errorf("core: user %d has a nil enrollment image", id)
-			}
-			bin := int(math.Round(img.PlaneDistM / planeBinWidth))
-			bd := binSets[bin]
-			if bd == nil {
-				bd = &binData{}
-				binSets[bin] = bd
-			}
-			bd.x = append(bd.x, extractImage(ext, img))
-			bd.labels = append(bd.labels, id)
-		}
+	}
+	binSets, err := binVectors(ctx, ext, planeBinWidth, users, enrollment)
+	if err != nil {
+		return nil, err
 	}
 
 	auth := &Authenticator{
@@ -360,6 +342,73 @@ func extractImage(ext *features.Extractor, img *AcousticImage) []float64 {
 	return out
 }
 
+// binSet is one plane bin's training vectors and their user labels.
+type binSet struct {
+	x      [][]float64
+	labels []int
+}
+
+// binVectors feature-extracts the enrollment images of the listed users
+// and groups the vectors by plane bin in the train's deterministic order:
+// users as listed, then their images in enrollment order.
+func binVectors(ctx context.Context, ext *features.Extractor, binWidth float64, ids []int, enrollment map[int][]*AcousticImage) (map[int]*binSet, error) {
+	var imgs []*AcousticImage
+	var labels []int
+	for _, id := range ids {
+		for _, img := range enrollment[id] {
+			if img == nil || img.Image == nil {
+				return nil, fmt.Errorf("core: user %d has a nil enrollment image", id)
+			}
+			imgs = append(imgs, img)
+			labels = append(labels, id)
+		}
+	}
+	xs, err := extractAll(ctx, ext, imgs)
+	if err != nil {
+		return nil, fmt.Errorf("core: feature extraction cancelled: %w", err)
+	}
+	bins := make(map[int]*binSet)
+	for i, img := range imgs {
+		bin := int(math.Round(img.PlaneDistM / binWidth))
+		bs := bins[bin]
+		if bs == nil {
+			bs = &binSet{}
+			bins[bin] = bs
+		}
+		bs.x = append(bs.x, xs[i])
+		bs.labels = append(bs.labels, labels[i])
+	}
+	return bins, nil
+}
+
+// extractAll extracts every image's feature vector in parallel, one image
+// per task, into the slot of its index. Cancelling ctx stops the
+// extraction between images and returns ctx's error.
+func extractAll(ctx context.Context, ext *features.Extractor, imgs []*AcousticImage) ([][]float64, error) {
+	xs := make([][]float64, len(imgs))
+	err := parallel(len(imgs), func(_, i int) error {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		xs[i] = extractImage(ext, imgs[i])
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return xs, nil
+}
+
+// vector is img's feature vector as bm's classifiers see it: extracted,
+// then whitened when the bin has a whitener.
+func (a *Authenticator) vector(bm *binModel, img *AcousticImage) []float64 {
+	x := extractImage(a.extractor, img)
+	if bm.whiten != nil {
+		x = bm.whiten.Apply(x)
+	}
+	return x
+}
+
 // binFor resolves the plane-distance bin model for an image, falling back
 // to the nearest adjacent bin: a user standing between enrolled distances
 // should not be rejected for geometry alone.
@@ -383,7 +432,11 @@ func (a *Authenticator) binFor(img *AcousticImage) (*binModel, int) {
 // acoustic image: pick the plane bin's model, shortlist + identify, then
 // verify with the SVDD gate.
 func (a *Authenticator) Authenticate(img *AcousticImage) AuthResult {
-	return a.authenticate(img, nil)
+	bm, bin := a.binFor(img)
+	if bm == nil {
+		return noBin(bin)
+	}
+	return a.decide(bm, bin, a.vector(bm, img), nil)
 }
 
 // Shortlist returns the distinct candidate user IDs among the k nearest
@@ -402,12 +455,7 @@ func (a *Authenticator) Shortlist(img *AcousticImage, k int) []int {
 	}
 	sc := a.getScratch()
 	defer a.scratch.Put(sc)
-	x := extractImage(a.extractor, img)
-	if bm.whiten != nil {
-		sc.white = bm.whiten.ApplyTo(sc.white, x)
-		x = sc.white
-	}
-	sc.q = embed.Project(sc.q, x)
+	sc.q = embed.Project(sc.q, a.vector(bm, img))
 	res := bm.ann.Search(sc.q, k)
 	seen := make(map[int]bool, len(res))
 	out := make([]int, 0, len(res))
@@ -429,34 +477,25 @@ func (a *Authenticator) getScratch() *authScratch {
 	return sc
 }
 
-// authenticate is the single-image decision with optional stage timing:
-// a non-nil recorder receives the feature-extraction (incl. whitening),
-// index-search (multi-user bins) and re-rank+gate durations.
-func (a *Authenticator) authenticate(img *AcousticImage, rec StageRecorder) AuthResult {
-	bm, bin := a.binFor(img)
-	if bm == nil {
-		return AuthResult{Accepted: false, GateScore: -1, Bin: bin}
-	}
+// noBin is the rejection of an image no trained bin covers.
+func noBin(bin int) AuthResult {
+	return AuthResult{Accepted: false, GateScore: -1, Bin: bin}
+}
+
+// decide identifies and gates the feature vector x of one image in bm: a
+// non-nil recorder receives the index-search (multi-user bins) and the
+// re-rank+gate durations.
+func (a *Authenticator) decide(bm *binModel, bin int, x []float64, rec StageRecorder) AuthResult {
 	var mark time.Time
 	if rec != nil {
 		mark = time.Now()
 	}
-	sc := a.getScratch()
-	defer a.scratch.Put(sc)
-	x := extractImage(a.extractor, img)
-	if bm.whiten != nil {
-		sc.white = bm.whiten.ApplyTo(sc.white, x)
-		x = sc.white
-	}
-	if rec != nil {
-		now := time.Now()
-		rec.RecordStage(StageFeatures, now.Sub(mark))
-		mark = now
-	}
 	candidate := bm.users[0]
 	if len(bm.users) > 1 {
+		sc := a.getScratch()
 		sc.q = embed.Project(sc.q, x)
 		res := bm.ann.Search(sc.q, shortlistSize)
+		a.scratch.Put(sc)
 		if rec != nil {
 			now := time.Now()
 			rec.RecordStage(StageIndexSearch, now.Sub(mark))
@@ -521,18 +560,41 @@ func (bm *binModel) rerank(x []float64, res []index.Result) int {
 // AuthenticateMajorityRecorded fuses decisions across the images of one
 // capture (one image per beep): the sample is accepted when a strict
 // majority of images pass the gate, and the identified user is the modal
-// identity among accepted images. A non-nil recorder receives one
-// features span, one index-search span (multi-user bins) and one classify
-// span per image; a nil recorder adds no work.
+// identity among accepted images. The images are feature-extracted (and
+// whitened) in parallel, one image per task; search, classification and
+// the vote then run on the calling goroutine in image order. A non-nil
+// recorder is called only from the calling goroutine, with spans that do
+// not overlap: one features span for the whole extraction, then one
+// index-search span (multi-user bins) and one classify span per image; a
+// nil recorder adds no work.
 func (a *Authenticator) AuthenticateMajorityRecorded(imgs []*AcousticImage, rec StageRecorder) (AuthResult, error) {
 	if len(imgs) == 0 {
 		return AuthResult{}, fmt.Errorf("core: no images to authenticate")
 	}
+	var mark time.Time
+	if rec != nil {
+		mark = time.Now()
+	}
+	xs := make([][]float64, len(imgs))
+	// Extraction cannot fail, so parallel returns nil.
+	_ = parallel(len(imgs), func(_, i int) error {
+		if bm, _ := a.binFor(imgs[i]); bm != nil {
+			xs[i] = a.vector(bm, imgs[i])
+		}
+		return nil
+	})
+	if rec != nil {
+		rec.RecordStage(StageFeatures, time.Since(mark))
+	}
 	accepted := 0
 	idVotes := make(map[int]int)
 	var scoreSum float64
-	for _, img := range imgs {
-		r := a.authenticate(img, rec)
+	for i, img := range imgs {
+		bm, bin := a.binFor(img)
+		r := noBin(bin)
+		if bm != nil {
+			r = a.decide(bm, bin, xs[i], rec)
+		}
 		scoreSum += r.GateScore
 		if r.Accepted {
 			accepted++

@@ -101,12 +101,6 @@ type Config struct {
 	// estimate the noise covariance when no dedicated noise capture is
 	// supplied.
 	NoiseTailFrac float64
-
-	// Workers caps the worker pools of one capture's processing: the
-	// preprocess pool (one task per channel) and the imaging pools (plan
-	// rows, (beep, row) renders). 0 means GOMAXPROCS. The output is
-	// identical for any value.
-	Workers int
 }
 
 // EchoPickMode selects the body-echo delay estimator within the echo

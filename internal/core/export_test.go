@@ -8,12 +8,9 @@ package core
 func (a *Authenticator) AuthenticateExhaustive(img *AcousticImage) AuthResult {
 	bm, bin := a.binFor(img)
 	if bm == nil {
-		return AuthResult{Accepted: false, GateScore: -1, Bin: bin}
+		return noBin(bin)
 	}
-	x := extractImage(a.extractor, img)
-	if bm.whiten != nil {
-		x = bm.whiten.Apply(x)
-	}
+	x := a.vector(bm, img)
 	candidate := bm.users[0]
 	if bm.identify != nil {
 		candidate = bm.identify.Predict(x)

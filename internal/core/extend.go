@@ -70,30 +70,9 @@ func (a *Authenticator) ExtendContext(ctx context.Context, add map[int][]*Acoust
 	}
 	sort.Ints(addIDs)
 
-	// Bin the new users' feature vectors, mirroring the train loop's
-	// deterministic order: users ascending, images in enrollment order.
-	type binAdd struct {
-		x      [][]float64
-		labels []int
-	}
-	binned := make(map[int]*binAdd)
-	for _, id := range addIDs {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("core: extend cancelled: %w", err)
-		}
-		for _, img := range add[id] {
-			if img == nil || img.Image == nil {
-				return nil, fmt.Errorf("core: user %d has a nil enrollment image", id)
-			}
-			bin := int(math.Round(img.PlaneDistM / a.binWidth))
-			ba := binned[bin]
-			if ba == nil {
-				ba = &binAdd{}
-				binned[bin] = ba
-			}
-			ba.x = append(ba.x, extractImage(a.extractor, img))
-			ba.labels = append(ba.labels, id)
-		}
+	binned, err := binVectors(ctx, a.extractor, a.binWidth, addIDs, add)
+	if err != nil {
+		return nil, err
 	}
 	for bin, ba := range binned {
 		for _, id := range addIDs {
@@ -136,7 +115,7 @@ func (a *Authenticator) ExtendContext(ctx context.Context, add map[int][]*Acoust
 			next.bins[bin] = bm
 			continue
 		}
-		bm, err := a.extendBin(old, ba.x, ba.labels, existing)
+		bm, err := a.extendBin(ctx, old, ba.x, ba.labels, existing)
 		if err != nil {
 			return nil, fmt.Errorf("core: bin %d: %w", bin, err)
 		}
@@ -147,7 +126,7 @@ func (a *Authenticator) ExtendContext(ctx context.Context, add map[int][]*Acoust
 
 // extendBin grows one bin's model with new users' raw feature vectors,
 // sharing every frozen part of old.
-func (a *Authenticator) extendBin(old *binModel, x [][]float64, labels []int, existing map[int][]*AcousticImage) (*binModel, error) {
+func (a *Authenticator) extendBin(ctx context.Context, old *binModel, x [][]float64, labels []int, existing map[int][]*AcousticImage) (*binModel, error) {
 	if old.whiten != nil {
 		wx := make([][]float64, len(x))
 		for i, v := range x {
@@ -208,7 +187,7 @@ func (a *Authenticator) extendBin(old *binModel, x [][]float64, labels []int, ex
 		added[l] = append(added[l], x[i])
 	}
 	oldUsers := old.users
-	exX, err := a.existingSamples(old, oldUsers, existing)
+	exX, err := a.existingSamples(ctx, old, oldUsers, existing)
 	if err != nil {
 		return nil, err
 	}
@@ -247,29 +226,39 @@ func (a *Authenticator) extendBin(old *binModel, x [][]float64, labels []int, ex
 // vectors that fall in old's bin — the existing-class samples the new SVM
 // duels train against. Computed only when a bin actually extends its
 // ensemble.
-func (a *Authenticator) existingSamples(old *binModel, users []int, existing map[int][]*AcousticImage) (map[int][][]float64, error) {
+func (a *Authenticator) existingSamples(ctx context.Context, old *binModel, users []int, existing map[int][]*AcousticImage) (map[int][][]float64, error) {
 	inBin := make(map[int]bool, len(users))
 	for _, id := range users {
 		inBin[id] = true
 	}
-	out := make(map[int][][]float64, len(users))
-	for id, imgs := range existing {
+	var imgs []*AcousticImage
+	var ids []int
+	for id, uimgs := range existing {
 		if !inBin[id] {
 			continue
 		}
-		for _, img := range imgs {
+		for _, img := range uimgs {
 			if img == nil || img.Image == nil {
 				continue
 			}
 			if a.bins[int(math.Round(img.PlaneDistM/a.binWidth))] != old {
 				continue
 			}
-			v := extractImage(a.extractor, img)
-			if old.whiten != nil {
-				v = old.whiten.Apply(v)
-			}
-			out[id] = append(out[id], v)
+			imgs = append(imgs, img)
+			ids = append(ids, id)
 		}
+	}
+	xs, err := extractAll(ctx, a.extractor, imgs)
+	if err != nil {
+		return nil, err
+	}
+	out := make(map[int][][]float64, len(users))
+	for i, id := range ids {
+		v := xs[i]
+		if old.whiten != nil {
+			v = old.whiten.Apply(v)
+		}
+		out[id] = append(out[id], v)
 	}
 	for _, id := range users {
 		if len(out[id]) == 0 {

@@ -4,8 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
 
 	"echoimage/internal/aimage"
 	"echoimage/internal/array"
@@ -78,11 +76,10 @@ func NewImagingPlan(ctx context.Context, cfg Config, bf *beamform.Beamformer, fs
 	return buildImagingPlan(ctx, cfg, bf.WeightsFor, fs, samples, planeDist, emissionSec)
 }
 
-// buildImagingPlan fans the grid rows over a worker pool, solving weights
-// via solve. The row feed selects on a done channel so that a failing
-// solver can never strand the producer on an unbuffered send (all workers
-// gone, nobody left to receive). Cancelling ctx abandons the build between
-// rows; the partial plan is discarded and ctx's error returned.
+// buildImagingPlan solves the weights of each grid row via solve, one row
+// per parallel task. The first solver error stops the build; cancelling
+// ctx abandons it between rows. Either way the partial plan is discarded
+// and the error returned.
 func buildImagingPlan(ctx context.Context, cfg Config, solve func(array.Direction) ([]complex128, error), fs float64, samples int, planeDist, emissionSec float64) (*ImagingPlan, error) {
 	if planeDist <= 0 {
 		return nil, fmt.Errorf("core: plane distance %g <= 0", planeDist)
@@ -113,48 +110,14 @@ func buildImagingPlan(ctx context.Context, cfg Config, solve func(array.Directio
 		hi:          make([]int, k),
 	}
 
-	workers := effectiveWorkers(cfg.Workers, p.rows)
-	rowCh := make(chan int)
-	errCh := make(chan error, 1)
-	done := make(chan struct{})
-	var closeOnce sync.Once
-	fail := func(err error) {
-		select {
-		case errCh <- err:
-		default:
+	err := parallel(p.rows, func(_, r int) error {
+		if err := ctx.Err(); err != nil {
+			return err
 		}
-		closeOnce.Do(func() { close(done) })
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for r := range rowCh {
-				if err := p.planRow(solve, r, guard); err != nil {
-					fail(err)
-					return
-				}
-			}
-		}()
-	}
-feed:
-	for r := 0; r < p.rows; r++ {
-		select {
-		case rowCh <- r:
-		case <-ctx.Done():
-			fail(ctx.Err())
-			break feed
-		case <-done:
-			break feed
-		}
-	}
-	close(rowCh)
-	wg.Wait()
-	select {
-	case err := <-errCh:
+		return p.planRow(solve, r, guard)
+	})
+	if err != nil {
 		return nil, err
-	default:
 	}
 	p.mics = len(p.weightsConj[0])
 	return p, nil
@@ -244,29 +207,11 @@ func (p *ImagingPlan) Render(chans [][]complex128, refRMS, noisePower float64) (
 		return nil, err
 	}
 	ai := p.newImage()
-	workers := effectiveWorkers(p.cfg.Workers, p.rows)
-	if workers <= 1 {
-		for r := 0; r < p.rows; r++ {
-			p.renderRow(chans, ai, r, noisePower)
-		}
-	} else {
-		rowCh := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for r := range rowCh {
-					p.renderRow(chans, ai, r, noisePower)
-				}
-			}()
-		}
-		for r := 0; r < p.rows; r++ {
-			rowCh <- r
-		}
-		close(rowCh)
-		wg.Wait()
-	}
+	// Row render is pure arithmetic and cannot fail.
+	_ = parallel(p.rows, func(_, r int) error {
+		p.renderRow(chans, ai, r, noisePower)
+		return nil
+	})
 	p.normalize(chans, ai, refRMS)
 	return ai, nil
 }
@@ -360,11 +305,10 @@ func (s *System) constructAll(ctx context.Context, cap *Capture, planeDist, emis
 }
 
 // constructBand images every beep within one frequency band. The band's
-// imaging plan is built once and shared across all beeps, and the (beep,
-// row) work items of the whole band are batched over a single worker pool
-// rather than spawning one pool per beep. When attach is nil a fresh image
-// slice is returned; otherwise the band images are appended to
-// attach[l].Bands. Cancelling ctx stops the (beep, row) feed; in-flight
+// imaging plan is built once and shared across all beeps, and every (beep,
+// row) render of the band is one parallel task. When attach is nil a fresh
+// image slice is returned; otherwise the band images are appended to
+// attach[l].Bands. Cancelling ctx stops the renders between tasks; in-flight
 // rows finish (row render is pure arithmetic) and ctx's error is returned.
 func (s *System) constructBand(ctx context.Context, cap *Capture, cfg Config, planeDist, emissionSec float64, noiseOnly [][]float64, attach []*AcousticImage, pre *preprocessed) ([]*AcousticImage, error) {
 	p := pre
@@ -389,32 +333,15 @@ func (s *System) constructBand(ctx context.Context, cap *Capture, cfg Config, pl
 	for l := range imgs {
 		imgs[l] = plan.newImage()
 	}
-	type rowTask struct{ beep, row int }
-	workers := effectiveWorkers(cfg.Workers, beeps*plan.rows)
-	tasks := make(chan rowTask)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for t := range tasks {
-				plan.renderRow(p.analytic[t.beep], imgs[t.beep], t.row, p.noisePower)
-			}
-		}()
-	}
-feed:
-	for l := 0; l < beeps; l++ {
-		for r := 0; r < plan.rows; r++ {
-			select {
-			case tasks <- rowTask{beep: l, row: r}:
-			case <-ctx.Done():
-				break feed
-			}
+	err = parallel(beeps*plan.rows, func(_, i int) error {
+		if err := ctx.Err(); err != nil {
+			return err
 		}
-	}
-	close(tasks)
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
+		l := i / plan.rows
+		plan.renderRow(p.analytic[l], imgs[l], i%plan.rows, p.noisePower)
+		return nil
+	})
+	if err != nil {
 		return nil, err
 	}
 	for l, img := range imgs {
@@ -456,20 +383,4 @@ func directPathReference(fs float64, cfg Config, chans [][]complex128, emissionS
 		}
 	}
 	return math.Sqrt(energy / float64(len(chans)*(hi-lo)))
-}
-
-// effectiveWorkers clamps a configured worker count (0 = GOMAXPROCS) to
-// the number of available tasks.
-func effectiveWorkers(configured, tasks int) int {
-	w := configured
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if w > tasks {
-		w = tasks
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
 }

@@ -243,22 +243,24 @@ func TestImagingPlanConcurrentBuildSharedBeamformer(t *testing.T) {
 func TestImagingPlanSolverErrorNoDeadlock(t *testing.T) {
 	cfg := testImagingConfig()
 	cfg.GridRows, cfg.GridCols = 64, 8
-	cfg.Workers = 2
 	failing := func(array.Direction) ([]complex128, error) {
 		return nil, fmt.Errorf("injected solver failure")
 	}
-	done := make(chan error, 1)
-	go func() {
-		_, err := buildImagingPlan(context.Background(), cfg, failing, 48000, 2640, 0.7, 0)
-		done <- err
-	}()
-	select {
-	case err := <-done:
-		if err == nil {
-			t.Fatal("plan build with failing solver returned nil error")
+	for _, procs := range []int{1, 4} {
+		setGOMAXPROCS(t, procs)
+		done := make(chan error, 1)
+		go func() {
+			_, err := buildImagingPlan(context.Background(), cfg, failing, 48000, 2640, 0.7, 0)
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if err == nil {
+				t.Fatalf("GOMAXPROCS %d: plan build with failing solver returned nil error", procs)
+			}
+		case <-time.After(30 * time.Second):
+			t.Fatalf("GOMAXPROCS %d: plan build deadlocked on solver failure", procs)
 		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("plan build deadlocked on solver failure")
 	}
 }
 
@@ -267,31 +269,33 @@ func TestImagingPlanSolverErrorNoDeadlock(t *testing.T) {
 func TestImagingPlanPartialSolverError(t *testing.T) {
 	cfg := testImagingConfig()
 	cfg.GridRows, cfg.GridCols = 48, 6
-	cfg.Workers = 4
-	var calls int32
-	var mu sync.Mutex
-	solve := func(array.Direction) ([]complex128, error) {
-		mu.Lock()
-		calls++
-		n := calls
-		mu.Unlock()
-		if n > 40 {
-			return nil, fmt.Errorf("injected failure after %d solves", n)
+	for _, procs := range []int{1, 4} {
+		setGOMAXPROCS(t, procs)
+		var calls int32
+		var mu sync.Mutex
+		solve := func(array.Direction) ([]complex128, error) {
+			mu.Lock()
+			calls++
+			n := calls
+			mu.Unlock()
+			if n > 40 {
+				return nil, fmt.Errorf("injected failure after %d solves", n)
+			}
+			return make([]complex128, 6), nil
 		}
-		return make([]complex128, 6), nil
-	}
-	done := make(chan error, 1)
-	go func() {
-		_, err := buildImagingPlan(context.Background(), cfg, solve, 48000, 2640, 0.7, 0)
-		done <- err
-	}()
-	select {
-	case err := <-done:
-		if err == nil {
-			t.Fatal("expected injected error")
+		done := make(chan error, 1)
+		go func() {
+			_, err := buildImagingPlan(context.Background(), cfg, solve, 48000, 2640, 0.7, 0)
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if err == nil {
+				t.Fatalf("GOMAXPROCS %d: expected injected error", procs)
+			}
+		case <-time.After(30 * time.Second):
+			t.Fatalf("GOMAXPROCS %d: plan build deadlocked on partial solver failure", procs)
 		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("plan build deadlocked on partial solver failure")
 	}
 }
 

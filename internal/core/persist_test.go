@@ -123,3 +123,35 @@ func TestLoadAuthenticatorRejectsV1Snapshot(t *testing.T) {
 		t.Errorf("error %q does not name both format versions", msg)
 	}
 }
+
+// TestLoadSnapshotWithWorkersKey checks that a snapshot written while
+// features.Config still had its Workers field — the same JSON with a
+// "Workers":0 key in both copies of the feature config — loads, and saves
+// back to exactly today's bytes.
+func TestLoadSnapshotWithWorkersKey(t *testing.T) {
+	enroll, _ := synthRoster(3, 4, 0, 5)
+	auth, err := core.TrainAuthenticator(context.Background(), cheapAuthConfig(), enroll)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := auth.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	now := buf.String()
+	old := strings.ReplaceAll(now, `"Standardize":false}`, `"Standardize":false,"Workers":0}`)
+	if n := strings.Count(old, `"Workers":0`); n != 2 {
+		t.Fatalf("%d Workers keys planted, want 2", n)
+	}
+	loaded, err := core.LoadAuthenticator(strings.NewReader(old))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var again bytes.Buffer
+	if err := loaded.Save(&again); err != nil {
+		t.Fatal(err)
+	}
+	if again.String() != now {
+		t.Error("snapshot with a Workers key does not save back to the same bytes")
+	}
+}

@@ -3,7 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
-	"sync"
+	"runtime"
 
 	"echoimage/internal/beamform"
 	"echoimage/internal/cmat"
@@ -39,13 +39,12 @@ type preprocessed struct {
 //
 // Every channel — each noise-only channel, each reference channel, each
 // background-subtracted (beep, mic) channel — is filtered and converted
-// independently, so the channels run as tasks over a pool of
-// effectiveWorkers(cfg.Workers, tasks) goroutines, the long noise-only
-// channels queued first. The sums that cross channels (reference energy,
-// noise power, covariance) run on the calling goroutine after the pool
-// drains, in channel order, so the result is bit-identical for any worker
-// count. With CovShrinkage ≥ 1 the covariance estimate would be replaced
-// by I wholesale, so it is not computed.
+// independently, so each channel is one parallel task, the long
+// noise-only channels queued first. The sums that cross channels
+// (reference energy, noise power, covariance) run on the calling goroutine
+// after the tasks finish, in channel order, so the result is bit-identical
+// for any worker count. With CovShrinkage ≥ 1 the covariance estimate
+// would be replaced by I wholesale, so it is not computed.
 func preprocess(cfg Config, cap *Capture, noiseOnly [][]float64) (*preprocessed, error) {
 	mics, samples, err := cap.Validate()
 	if err != nil {
@@ -78,7 +77,13 @@ func preprocess(cfg Config, cap *Capture, noiseOnly [][]float64) (*preprocessed,
 	for l := range fe.analytic {
 		fe.analytic[l] = make([][]complex128, mics)
 	}
-	fe.run(effectiveWorkers(cfg.Workers, fe.tasks()))
+	// Each worker owns one background-subtraction scratch buffer for the
+	// whole call. Channel tasks cannot fail (shapes were validated above).
+	scratch := make([][]float64, runtime.GOMAXPROCS(0))
+	_ = parallel(fe.tasks(), func(w, i int) error {
+		scratch[w] = fe.do(i, scratch[w])
+		return nil
+	})
 
 	p := &preprocessed{
 		analytic:     fe.analytic,
@@ -204,29 +209,6 @@ type frontEnd struct {
 
 func (fe *frontEnd) tasks() int {
 	return len(fe.noise) + len(fe.ref) + len(fe.analytic)*fe.mics
-}
-
-// run executes every task over workers goroutines and returns once all
-// of them are done. Each worker owns one background-subtraction scratch
-// buffer for the whole call.
-func (fe *frontEnd) run(workers int) {
-	tasks := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var scratch []float64
-			for i := range tasks {
-				scratch = fe.do(i, scratch)
-			}
-		}()
-	}
-	for i := 0; i < fe.tasks(); i++ {
-		tasks <- i
-	}
-	close(tasks)
-	wg.Wait()
 }
 
 // do runs task i and returns the (possibly grown) scratch buffer.

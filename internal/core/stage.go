@@ -20,9 +20,13 @@ const (
 // internal/daemon feeding latency histograms and per-request trace
 // spans, or a CLI printing timings — implement these two lines.
 //
-// Implementations must be safe for the concurrency of their call sites;
-// a recorder handed to System.ProcessRecordedContext is only invoked from
-// that call's goroutine.
+// Implementations must be safe for the concurrency of their call sites.
+// A recorder handed to System.ProcessRecordedContext or
+// Authenticator.AuthenticateMajorityRecorded is only invoked from that
+// call's goroutine, with spans that do not overlap, so the spans of one
+// request add up to its time in the pipeline. AuthenticateMajorityRecorded
+// extracts its images' features in parallel and records that whole phase
+// as one StageFeatures span.
 type StageRecorder interface {
 	RecordStage(stage string, d time.Duration)
 }

@@ -195,21 +195,9 @@ func normalize(x []float64) {
 }
 
 // Apply shrinks x along the nuisance directions and L2-renormalizes,
-// returning a new vector. Hot paths use ApplyTo with pooled scratch
-// instead (DESIGN §8.1 scratch-ownership rules).
+// returning a new vector.
 func (w *Whitener) Apply(x []float64) []float64 {
-	return w.ApplyTo(nil, x)
-}
-
-// ApplyTo is Apply writing into dst (grown when its capacity is short),
-// so the per-authentication whitening step allocates nothing once the
-// caller's scratch has warmed up. dst must not alias x. Returns the
-// whitened slice of len(x).
-func (w *Whitener) ApplyTo(dst, x []float64) []float64 {
-	if cap(dst) < len(x) {
-		dst = make([]float64, len(x))
-	}
-	dst = dst[:len(x)]
+	dst := make([]float64, len(x))
 	copy(dst, x)
 	for i, v := range w.dirs {
 		var dot float64

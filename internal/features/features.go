@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
 	"sync"
 
 	"echoimage/internal/aimage"
@@ -42,11 +41,6 @@ type Config struct {
 	// it is off by default; the scale-invariant variant exists for
 	// ablation and for deployments without level calibration.
 	Standardize bool
-	// Workers caps the per-block worker pool that fans the conv output
-	// channels of Extract across goroutines; 0 means GOMAXPROCS, 1 forces
-	// the sequential path. The output is identical for any value: each
-	// channel's arithmetic is independent of scheduling.
-	Workers int
 }
 
 // DefaultConfig yields a 56→28→14→7 stack producing 7×7×32 = 1568
@@ -96,14 +90,23 @@ type convBlock struct {
 }
 
 // Extractor is the frozen network. It is safe for concurrent use once
-// constructed: the network state is read-only and the scratch-buffer pool
-// is synchronized.
+// constructed: the network state is read-only and the workspace pool is
+// synchronized. Extract runs on the calling goroutine; callers that
+// extract many images run one image per goroutine.
 type Extractor struct {
 	cfg    Config
 	blocks []convBlock
-	// bufs recycles plane and convolution scratch buffers across Extract
-	// calls and across the workers inside one call.
-	bufs sync.Pool
+	// workspaces recycles one *workspace per Extract call.
+	workspaces sync.Pool
+}
+
+// workspace is the scratch memory of one Extract call: planes[0] is the
+// input plane, planes[b+1] the output planes of block b (each block's
+// planes share one backing slice), and conv holds one output channel's
+// pre-pool convolution. Its shape depends only on the Config.
+type workspace struct {
+	planes [][][]float64
+	conv   []float64
 }
 
 // NewExtractor builds the frozen network from the config's seed.
@@ -139,29 +142,31 @@ func NewExtractor(cfg Config) (*Extractor, error) {
 		inCh = outCh
 	}
 	e := &Extractor{cfg: cfg, blocks: blocks}
-	e.bufs.New = func() any {
-		var buf []float64
-		return &buf
-	}
+	e.workspaces.New = func() any { return e.newWorkspace() }
 	return e, nil
 }
 
-// getBuf returns a pooled scratch slice of length n. Contents are
-// arbitrary; every user overwrites each element before reading it (or
-// zeroes explicitly). An undersized pooled buffer is left to the GC, so
-// the pool converges to full-size planes instead of churning grows.
-func (e *Extractor) getBuf(n int) []float64 {
-	bp := e.bufs.Get().(*[]float64)
-	b := *bp
-	if cap(b) < n {
-		b = make([]float64, n)
+// newWorkspace allocates a workspace for the extractor's network. Every
+// user overwrites each element before reading it, so a recycled
+// workspace needs no clearing.
+func (e *Extractor) newWorkspace() *workspace {
+	size := e.cfg.InputSize
+	ws := &workspace{
+		planes: make([][][]float64, len(e.blocks)+1),
+		conv:   make([]float64, size*size),
 	}
-	return b[:n]
-}
-
-// putBuf recycles a scratch slice.
-func (e *Extractor) putBuf(b []float64) {
-	e.bufs.Put(&b)
+	ws.planes[0] = [][]float64{make([]float64, size*size)}
+	for b, blk := range e.blocks {
+		size /= 2
+		n := size * size
+		flat := make([]float64, blk.outCh*n)
+		ps := make([][]float64, blk.outCh)
+		for o := range ps {
+			ps[o] = flat[o*n : (o+1)*n : (o+1)*n]
+		}
+		ws.planes[b+1] = ps
+	}
+	return ws
 }
 
 // Dim returns the output feature dimensionality.
@@ -173,7 +178,9 @@ func (e *Extractor) Dim() int { return e.cfg.OutputDim() }
 // features); otherwise the image's calibrated echo level flows through.
 func (e *Extractor) Extract(img *aimage.Image) []float64 {
 	in := img.Resize(e.cfg.InputSize, e.cfg.InputSize)
-	plane := e.getBuf(len(in.Pix))
+	ws := e.workspaces.Get().(*workspace)
+	defer e.workspaces.Put(ws)
+	plane := ws.planes[0][0]
 	if e.cfg.Standardize {
 		mean := in.Mean()
 		var variance float64
@@ -197,25 +204,15 @@ func (e *Extractor) Extract(img *aimage.Image) []float64 {
 		copy(plane, in.Pix)
 	}
 
-	workers := e.cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	size := e.cfg.InputSize
-	planes := [][]float64{plane}
-	for _, blk := range e.blocks {
-		next := e.forward(blk, planes, size, workers)
-		for _, p := range planes {
-			e.putBuf(p)
-		}
-		planes = next
+	for b, blk := range e.blocks {
+		blk.forward(ws.planes[b], size, ws.planes[b+1], ws.conv)
 		size /= 2
 	}
 
 	out := make([]float64, 0, e.Dim())
-	for _, p := range planes {
+	for _, p := range ws.planes[len(e.blocks)] {
 		out = append(out, p...)
-		e.putBuf(p)
 	}
 	if e.cfg.Standardize {
 		var norm float64
@@ -233,40 +230,16 @@ func (e *Extractor) Extract(img *aimage.Image) []float64 {
 }
 
 // forward applies conv3×3 (same padding) + ReLU + maxpool2×2 to all input
-// planes of the given square size, returning outCh planes of size/2. The
-// output channels are independent, so they fan out over a bounded worker
-// pool; every scratch and output plane comes from the extractor's pool.
-func (e *Extractor) forward(b convBlock, in [][]float64, size, workers int) [][]float64 {
-	out := make([][]float64, b.outCh)
-	if workers > b.outCh {
-		workers = b.outCh
+// planes of the given square size, writing the outCh planes of size/2
+// into out; conv is size×size scratch.
+func (b convBlock) forward(in [][]float64, size int, out [][]float64, conv []float64) {
+	for o := range out {
+		b.forwardOne(in, size, o, conv, out[o])
 	}
-	if workers <= 1 {
-		for o := 0; o < b.outCh; o++ {
-			out[o] = e.forwardOne(b, in, size, o)
-		}
-		return out
-	}
-	ch := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for o := range ch {
-				out[o] = e.forwardOne(b, in, size, o)
-			}
-		}()
-	}
-	for o := 0; o < b.outCh; o++ {
-		ch <- o
-	}
-	close(ch)
-	wg.Wait()
-	return out
 }
 
-// forwardOne computes one output channel of a conv block.
+// forwardOne computes output channel o of a conv block into pooled, using
+// conv as its size×size pre-pool plane.
 //
 // Pixels in rows and columns 1..size-2 see all nine taps, so they run a
 // branch-free path over three pre-sliced source rows with the weights in
@@ -274,9 +247,9 @@ func (e *Extractor) forward(b convBlock, in [][]float64, size, workers int) [][]
 // Both paths sum a pixel's taps into a zeroed accumulator in ky-major,
 // kx-minor order and then add that sum to the output, so they round
 // identically and the output does not depend on which path ran.
-func (e *Extractor) forwardOne(b convBlock, in [][]float64, size, o int) []float64 {
+func (b convBlock) forwardOne(in [][]float64, size, o int, conv, pooled []float64) {
 	half := size / 2
-	conv := e.getBuf(size * size)
+	conv = conv[:size*size]
 	for i := range conv {
 		conv[i] = b.bias[o]
 	}
@@ -319,7 +292,6 @@ func (e *Extractor) forwardOne(b convBlock, in [][]float64, size, o int) []float
 		}
 	}
 	// ReLU + 2×2 max pool.
-	pooled := e.getBuf(half * half)
 	for y := 0; y < half; y++ {
 		for x := 0; x < half; x++ {
 			m := 0.0
@@ -334,8 +306,6 @@ func (e *Extractor) forwardOne(b convBlock, in [][]float64, size, o int) []float
 			pooled[y*half+x] = m
 		}
 	}
-	e.putBuf(conv)
-	return pooled
 }
 
 // edgeTaps sums the in-bounds taps of the 3×3 kernel k centered on pixel

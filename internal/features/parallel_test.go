@@ -8,42 +8,6 @@ import (
 	"echoimage/internal/aimage"
 )
 
-// TestExtractParallelMatchesSequential asserts the fan-out over conv
-// output channels is invisible in the output: any worker count produces
-// bitwise-identical features (each channel's arithmetic is independent of
-// scheduling).
-func TestExtractParallelMatchesSequential(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	img := randImage(rng, 40, 40)
-	for _, standardize := range []bool{false, true} {
-		cfg := DefaultConfig()
-		cfg.Standardize = standardize
-		cfg.Workers = 1
-		seq, err := NewExtractor(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := seq.Extract(img)
-		for _, workers := range []int{0, 2, 5, 16} {
-			cfg.Workers = workers
-			par, err := NewExtractor(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got := par.Extract(img)
-			if len(got) != len(want) {
-				t.Fatalf("workers=%d: dim %d != %d", workers, len(got), len(want))
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("standardize=%v workers=%d: feature %d: %g != %g",
-						standardize, workers, i, got[i], want[i])
-				}
-			}
-		}
-	}
-}
-
 // TestExtractRepeatedCallsStable guards the scratch-buffer pool: repeated
 // and interleaved extractions must not leak state between calls.
 func TestExtractRepeatedCallsStable(t *testing.T) {
