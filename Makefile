@@ -137,13 +137,16 @@ cluster-smoke:
 	rm -rf $$sd0 $$sd1 $$sd2; \
 	echo "cluster-smoke: ok"
 
-# Short fuzz runs over the protocol frame reader and the sample block
-# decoders: proves Read and UnmarshalText never panic on adversarial
-# bytes, accepted frames round-trip, and accepted blocks re-encode to
-# identical text. The corpus grows under $GOCACHE/fuzz across runs.
+# Short fuzz runs over the protocol frame reader, the sample block
+# decoders and the model snapshot's index decoder: proves Read,
+# UnmarshalText and index.Unmarshal never panic on adversarial bytes,
+# accepted frames round-trip, accepted blocks re-encode to identical text,
+# and an accepted index re-marshals to its input bytes and searches
+# without panicking. The corpus grows under $GOCACHE/fuzz across runs.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz=FuzzRead -fuzztime=10s -fuzzminimizetime=1s ./internal/proto
 	$(GO) test -run '^$$' -fuzz=FuzzCaptureWire -fuzztime=10s -fuzzminimizetime=1s ./internal/proto
+	$(GO) test -run '^$$' -fuzz=FuzzIndexUnmarshal -fuzztime=10s -fuzzminimizetime=1s ./internal/index
 
 # Architectural-invariant gate: the project's own analyzer suite
 # (internal/analysis; rule table in README.md, invariants in DESIGN.md),

@@ -23,14 +23,16 @@ import (
 // one floating-point sum changes a hash here. A deliberate change to what
 // the pipeline computes re-records the hashes and says why.
 //
-// The model hash was re-recorded once, when features.Config lost its
-// Workers field: the snapshot JSON no longer carries the two "Workers":0
-// keys, and is otherwise byte for byte the same
-// (core.TestLoadSnapshotWithWorkersKey).
+// The model hash was re-recorded when features.Config lost its Workers
+// field (the snapshot JSON dropped two "Workers":0 keys), and again for
+// snapshot format version 3: the top-level "features" key and each bin's
+// "embeds" blob are gone, the version reads 3, and each index blob's IDs
+// are user labels instead of row numbers. The same model, rewritten that
+// way from the version 2 bytes, reproduces the new snapshot exactly.
 const (
 	pinnedImagesSHA   = "0f6d94dd61addcf74fe3a5c6644a25eb87c0d0060d64fd73b9a80d4935f105d4"
 	pinnedFeaturesSHA = "50b2bd993fc4c7fdfadbcf2f3b0eadeb7bd14e175d6600cbd18a7b15fb4f6a95"
-	pinnedModelSHA    = "d1ecd7f95e5fd32db5379fabf330240b655b3a8c35b53be1ef5f27d5740338fe"
+	pinnedModelSHA    = "eaa20d73ddae5e455245914828893329d70d3ac11ae2b25db132364613bff640"
 )
 
 // pinConfig is the CI-scale imaging grid: small enough for -race, large

@@ -27,7 +27,6 @@ func DefaultSuite() []Analyzer {
 				"echoimage/internal/array":  {ForbiddenStd: mathLayerStdBan},
 				"echoimage/internal/chirp":  {ForbiddenStd: mathLayerStdBan},
 				"echoimage/internal/aimage": {ForbiddenStd: mathLayerStdBan},
-				"echoimage/internal/embed":  {ForbiddenStd: mathLayerStdBan},
 				"echoimage/internal/index":  {ForbiddenStd: mathLayerStdBan},
 				"echoimage/internal/beamform": {
 					AllowedProject: []string{
@@ -64,7 +63,6 @@ func DefaultSuite() []Analyzer {
 					"echoimage/internal/chirp",
 					"echoimage/internal/cmat",
 					"echoimage/internal/dsp",
-					"echoimage/internal/embed",
 					"echoimage/internal/features",
 					"echoimage/internal/index",
 					"echoimage/internal/svm",
@@ -86,7 +84,6 @@ func DefaultSuite() []Analyzer {
 					"echoimage/internal/chirp",
 					"echoimage/internal/core",
 					"echoimage/internal/dataset",
-					"echoimage/internal/embed",
 					"echoimage/internal/index",
 					"echoimage/internal/metrics",
 					"echoimage/internal/sim",

@@ -8,14 +8,13 @@ import (
 	"sync"
 	"time"
 
-	"echoimage/internal/embed"
 	"echoimage/internal/features"
 	"echoimage/internal/index"
 	"echoimage/internal/svm"
 )
 
-// Identification constants. Every trained bin carries an embedding set
-// and an HNSW index (index.Config defaults) over it; identification
+// Identification constants. Every trained bin carries an HNSW index
+// (index.Config defaults) over its enrollment embeddings; identification
 // shortlists candidates from the index, re-ranks them and gates the
 // winner with SVDD.
 const (
@@ -89,8 +88,7 @@ type binModel struct {
 	identify *svm.MultiClass   // margin re-ranker; nil above maxSVMUsers or single-user
 	users    []int
 	gamma    float64      // fitted RBF width; extension reuses it
-	embeds   *embed.Set   // enrollment embeddings, row ID = user label
-	ann      *index.Index // HNSW over embedding rows; vector ID = row number
+	ann      *index.Index // HNSW over enrollment embeddings; vector ID = user label
 }
 
 // Authenticator is the trained §V-E classifier stack, conditioned on the
@@ -99,7 +97,6 @@ type binModel struct {
 // candidates from the embedding index and the gate verifies the winner.
 type Authenticator struct {
 	extractor *features.Extractor
-	featCfg   features.Config
 	cfg       AuthConfig
 	bins      map[int]*binModel
 	binWidth  float64
@@ -149,7 +146,6 @@ func TrainAuthenticator(ctx context.Context, cfg AuthConfig, enrollment map[int]
 
 	auth := &Authenticator{
 		extractor: ext,
-		featCfg:   cfg.Features,
 		cfg:       cfg,
 		bins:      make(map[int]*binModel, len(binSets)),
 		binWidth:  planeBinWidth,
@@ -169,7 +165,7 @@ func TrainAuthenticator(ctx context.Context, cfg AuthConfig, enrollment map[int]
 }
 
 // fitBinModel trains the full classifier stack of one plane-distance bin:
-// optional WCCN whitener, embedding set + ANN index, the SVDD gates and,
+// optional WCCN whitener, ANN index, the SVDD gates and,
 // when the user count allows, the one-vs-one SVM. Shared by the full
 // train and by ExtendContext for bins a new user opens.
 func fitBinModel(cfg AuthConfig, x [][]float64, labels []int) (*binModel, error) {
@@ -226,33 +222,31 @@ func fitBinModel(cfg AuthConfig, x [][]float64, labels []int) (*binModel, error)
 }
 
 // buildIndex projects the (whitened) training vectors into the embedding
-// space and indexes them. Row order follows the training order — users
-// ascending, then their images in enrollment order — so construction is
-// deterministic.
+// space and indexes each under its user label. Insertion follows the
+// training order — users ascending, then their images in enrollment
+// order — so construction is deterministic.
 func (bm *binModel) buildIndex(x [][]float64, labels []int) error {
 	if len(x) == 0 {
 		return fmt.Errorf("no vectors to index")
 	}
-	dim := len(x[0])
-	es, err := embed.NewSet(dim)
-	if err != nil {
-		return fmt.Errorf("embedding set: %w", err)
-	}
-	ann, err := index.New(dim, index.Config{})
+	ann, err := index.New(len(x[0]), index.Config{})
 	if err != nil {
 		return fmt.Errorf("ANN index: %w", err)
 	}
+	bm.ann = ann
+	return bm.addEmbeddings(x, labels)
+}
+
+// addEmbeddings projects x and adds each vector to bm's index under its
+// user label.
+func (bm *binModel) addEmbeddings(x [][]float64, labels []int) error {
 	var q []float32
 	for i, v := range x {
-		q = embed.Project(q, v)
-		if err := es.Append(labels[i], q); err != nil {
-			return fmt.Errorf("append embedding: %w", err)
-		}
-		if err := ann.Add(es.Len()-1, q); err != nil {
+		q = index.Project(q, v)
+		if err := bm.ann.Add(labels[i], q); err != nil {
 			return fmt.Errorf("index embedding: %w", err)
 		}
 	}
-	bm.embeds, bm.ann = es, ann
 	return nil
 }
 
@@ -455,15 +449,14 @@ func (a *Authenticator) Shortlist(img *AcousticImage, k int) []int {
 	}
 	sc := a.getScratch()
 	defer a.scratch.Put(sc)
-	sc.q = embed.Project(sc.q, a.vector(bm, img))
+	sc.q = index.Project(sc.q, a.vector(bm, img))
 	res := bm.ann.Search(sc.q, k)
 	seen := make(map[int]bool, len(res))
 	out := make([]int, 0, len(res))
 	for _, r := range res {
-		id := bm.embeds.ID(r.ID)
-		if !seen[id] {
-			seen[id] = true
-			out = append(out, id)
+		if !seen[r.ID] {
+			seen[r.ID] = true
+			out = append(out, r.ID)
 		}
 	}
 	return out
@@ -493,7 +486,7 @@ func (a *Authenticator) decide(bm *binModel, bin int, x []float64, rec StageReco
 	candidate := bm.users[0]
 	if len(bm.users) > 1 {
 		sc := a.getScratch()
-		sc.q = embed.Project(sc.q, x)
+		sc.q = index.Project(sc.q, x)
 		res := bm.ann.Search(sc.q, shortlistSize)
 		a.scratch.Put(sc)
 		if rec != nil {
@@ -536,11 +529,10 @@ func (bm *binModel) rerank(x []float64, res []index.Result) int {
 	sim := make(map[int]float64, len(res))
 	order := make([]int, 0, len(res))
 	for _, r := range res {
-		id := bm.embeds.ID(r.ID)
-		if _, ok := sim[id]; !ok {
-			order = append(order, id)
+		if _, ok := sim[r.ID]; !ok {
+			order = append(order, r.ID)
 		}
-		sim[id] += 1 - float64(r.Dist)
+		sim[r.ID] += 1 - float64(r.Dist)
 	}
 	if len(order) == 1 {
 		return order[0]

@@ -6,7 +6,6 @@ import (
 	"math"
 	"sort"
 
-	"echoimage/internal/embed"
 	"echoimage/internal/svm"
 )
 
@@ -90,7 +89,6 @@ func (a *Authenticator) ExtendContext(ctx context.Context, add map[int][]*Acoust
 
 	next := &Authenticator{
 		extractor: a.extractor,
-		featCfg:   a.featCfg,
 		cfg:       a.cfg,
 		bins:      make(map[int]*binModel, len(a.bins)+len(binned)),
 		binWidth:  a.binWidth,
@@ -140,7 +138,6 @@ func (a *Authenticator) extendBin(ctx context.Context, old *binModel, x [][]floa
 		gate:   old.gate,
 		gamma:  old.gamma,
 		users:  distinctLabels(append(append([]int{}, old.users...), labels...)),
-		embeds: old.embeds.Clone(),
 		ann:    old.ann.Clone(),
 	}
 	kernel := svm.RBF{Gamma: old.gamma}
@@ -164,16 +161,8 @@ func (a *Authenticator) extendBin(ctx context.Context, old *binModel, x [][]floa
 		bm.userGate[id] = ug
 	}
 
-	// Extend the embedding set and index.
-	var q []float32
-	for i, v := range x {
-		q = embed.Project(q, v)
-		if err := bm.embeds.Append(labels[i], q); err != nil {
-			return nil, fmt.Errorf("append embedding: %w", err)
-		}
-		if err := bm.ann.Add(bm.embeds.Len()-1, q); err != nil {
-			return nil, fmt.Errorf("index embedding: %w", err)
-		}
+	if err := bm.addEmbeddings(x, labels); err != nil {
+		return nil, err
 	}
 
 	// Margin re-ranker: train only the new duels, sharing old pairs.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/base64"
+	"encoding/binary"
 	"encoding/json"
 	"math/rand"
 	"testing"
@@ -182,9 +183,10 @@ func TestPersistRoundTripByteIdentity(t *testing.T) {
 	}
 }
 
-// TestPersistRejectsCorruptSnapshots mutates a valid v2 snapshot —
-// truncated index blob, truncated embeddings blob, one of the pair or both
-// missing — and requires LoadAuthenticator to reject each.
+// TestPersistRejectsCorruptSnapshots mutates a valid snapshot — a
+// truncated or missing index blob, an index vector labelled with a user
+// the bin was not trained on, an older format version — and requires
+// LoadAuthenticator to reject each.
 func TestPersistRejectsCorruptSnapshots(t *testing.T) {
 	enroll, _ := synthRoster(4, 4, 0, 5)
 	auth, err := core.TrainAuthenticator(context.Background(), cheapAuthConfig(), enroll)
@@ -196,41 +198,46 @@ func TestPersistRejectsCorruptSnapshots(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	mutate := func(t *testing.T, f func(bin map[string]any)) []byte {
+	mutate := func(t *testing.T, f func(state map[string]any)) []byte {
 		t.Helper()
 		var state map[string]any
 		if err := json.Unmarshal(buf.Bytes(), &state); err != nil {
 			t.Fatal(err)
 		}
-		bins := state["bins"].(map[string]any)
-		for _, b := range bins {
-			f(b.(map[string]any))
-		}
+		f(state)
 		out, err := json.Marshal(state)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return out
 	}
-	truncate := func(field string) func(map[string]any) {
-		return func(bin map[string]any) {
-			raw, err := base64.StdEncoding.DecodeString(bin[field].(string))
+	eachBin := func(f func(bin map[string]any)) func(map[string]any) {
+		return func(state map[string]any) {
+			for _, b := range state["bins"].(map[string]any) {
+				f(b.(map[string]any))
+			}
+		}
+	}
+	rewriteIndex := func(f func(raw []byte) []byte) func(map[string]any) {
+		return eachBin(func(bin map[string]any) {
+			raw, err := base64.StdEncoding.DecodeString(bin["index"].(string))
 			if err != nil {
 				t.Fatal(err)
 			}
-			bin[field] = base64.StdEncoding.EncodeToString(raw[:len(raw)/2])
-		}
+			bin["index"] = base64.StdEncoding.EncodeToString(f(raw))
+		})
 	}
 
 	cases := map[string]func(map[string]any){
-		"truncated index":      truncate("index"),
-		"truncated embeddings": truncate("embeds"),
-		"index without embeds": func(bin map[string]any) { delete(bin, "embeds") },
-		"embeds without index": func(bin map[string]any) { delete(bin, "index") },
-		"neither embeds nor index": func(bin map[string]any) {
-			delete(bin, "embeds")
-			delete(bin, "index")
-		},
+		"truncated index": rewriteIndex(func(raw []byte) []byte { return raw[:len(raw)/2] }),
+		"missing index":   eachBin(func(bin map[string]any) { delete(bin, "index") }),
+		// The first vector's ID sits right after the 50-byte index header.
+		"index label not in bin users": rewriteIndex(func(raw []byte) []byte {
+			binary.LittleEndian.PutUint64(raw[50:], 999)
+			return raw
+		}),
+		// A version 2 index carries row numbers, not users, as its IDs.
+		"v2 snapshot": func(state map[string]any) { state["version"] = 2 },
 	}
 	for name, f := range cases {
 		mutated := mutate(t, f)

@@ -4,18 +4,19 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 
-	"echoimage/internal/embed"
 	"echoimage/internal/features"
 	"echoimage/internal/index"
 	"echoimage/internal/svm"
 )
 
 // modelFormatVersion is the only snapshot format this build reads and
-// writes. Version 2 added the identification embedding set + ANN index,
-// the fitted kernel width and the full AuthConfig per snapshot; version 1
-// snapshots (no embedding space) are rejected and must be retrained.
-const modelFormatVersion = 2
+// writes. Version 3 stores each bin's enrollment embeddings once, in the
+// ANN index under their user labels, and the feature config once, inside
+// the AuthConfig. Older snapshots are rejected and must be retrained: a
+// version 2 index carries row numbers, not users, as its IDs.
+const modelFormatVersion = 3
 
 // authenticatorState is the on-disk form of a trained Authenticator.
 // Encoding is deterministic: encoding/json sorts map keys and binary
@@ -23,7 +24,6 @@ const modelFormatVersion = 2
 // for the same model.
 type authenticatorState struct {
 	Version  int                  `json:"version"`
-	Features features.Config      `json:"features"`
 	Config   *AuthConfig          `json:"config,omitempty"`
 	BinWidth float64              `json:"bin_width_m"`
 	Users    []int                `json:"users"`
@@ -37,8 +37,7 @@ type binState struct {
 	Identify *svm.MultiClassState      `json:"identify,omitempty"`
 	Whiten   *whitenerState            `json:"whiten,omitempty"`
 	Gamma    float64                   `json:"gamma,omitempty"`
-	Embeds   []byte                    `json:"embeds,omitempty"` // embed.Set binary form
-	Index    []byte                    `json:"index,omitempty"`  // index.Index binary form
+	Index    []byte                    `json:"index,omitempty"` // index.Index binary form
 }
 
 type whitenerState struct {
@@ -53,7 +52,6 @@ func (a *Authenticator) Save(w io.Writer) error {
 	cfg := a.cfg
 	state := authenticatorState{
 		Version:  modelFormatVersion,
-		Features: a.featCfg,
 		Config:   &cfg,
 		BinWidth: a.binWidth,
 		Users:    a.Users(),
@@ -86,9 +84,6 @@ func (a *Authenticator) Save(w io.Writer) error {
 		if bm.whiten != nil {
 			bs.Whiten = exportWhitener(bm.whiten)
 		}
-		if bs.Embeds, err = bm.embeds.MarshalBinary(); err != nil {
-			return fmt.Errorf("core: export embeddings (bin %d): %w", bin, err)
-		}
 		if bs.Index, err = bm.ann.MarshalBinary(); err != nil {
 			return fmt.Errorf("core: export index (bin %d): %w", bin, err)
 		}
@@ -114,13 +109,12 @@ func LoadAuthenticator(r io.Reader) (*Authenticator, error) {
 	if state.Config == nil {
 		return nil, fmt.Errorf("core: model snapshot has no config")
 	}
-	ext, err := features.NewExtractor(state.Features)
+	ext, err := features.NewExtractor(state.Config.Features)
 	if err != nil {
 		return nil, fmt.Errorf("core: rebuild extractor: %w", err)
 	}
 	auth := &Authenticator{
 		extractor: ext,
-		featCfg:   state.Features,
 		cfg:       *state.Config,
 		bins:      make(map[int]*binModel, len(state.Bins)),
 		binWidth:  state.BinWidth,
@@ -161,22 +155,21 @@ func LoadAuthenticator(r io.Reader) (*Authenticator, error) {
 		if bs.Whiten != nil {
 			bm.whiten = restoreWhitener(bs.Whiten)
 		}
-		if len(bs.Embeds) == 0 || len(bs.Index) == 0 {
-			return nil, fmt.Errorf("core: bin %d lacks its embedding set or index", bin)
-		}
-		es, err := embed.UnmarshalSet(bs.Embeds)
-		if err != nil {
-			return nil, fmt.Errorf("core: restore embeddings (bin %d): %w", bin, err)
+		if len(bs.Index) == 0 {
+			return nil, fmt.Errorf("core: bin %d lacks its index", bin)
 		}
 		ann, err := index.Unmarshal(bs.Index)
 		if err != nil {
 			return nil, fmt.Errorf("core: restore index (bin %d): %w", bin, err)
 		}
-		if ann.Len() != es.Len() || ann.Dim() != es.Dim() {
-			return nil, fmt.Errorf("core: bin %d index (%d×%d) does not match embeddings (%d×%d)",
-				bin, ann.Len(), ann.Dim(), es.Len(), es.Dim())
+		// Every indexed ID is a user the bin was trained on: an unknown
+		// ID would be identified and then gated by the pooled sphere.
+		for n := 0; n < ann.Len(); n++ {
+			if id := ann.ID(n); !slices.Contains(bm.users, id) {
+				return nil, fmt.Errorf("core: bin %d index labels vector %d with user %d, not one of the bin's users %v", bin, n, id, bm.users)
+			}
 		}
-		bm.embeds, bm.ann = es, ann
+		bm.ann = ann
 		auth.bins[bin] = bm
 	}
 	return auth, nil

@@ -76,8 +76,7 @@ func TestLoadAuthenticatorRejectsGarbage(t *testing.T) {
 }
 
 // v1Snapshot saves a trained model and rewrites it into the version 1
-// shape: no persisted config and no per-bin kernel width, embeddings or
-// index.
+// shape: no persisted config and no per-bin kernel width or index.
 func v1Snapshot(t *testing.T) []byte {
 	t.Helper()
 	enroll, _ := synthRoster(3, 4, 0, 5)
@@ -98,7 +97,6 @@ func v1Snapshot(t *testing.T) []byte {
 	for _, b := range state["bins"].(map[string]any) {
 		bin := b.(map[string]any)
 		delete(bin, "gamma")
-		delete(bin, "embeds")
 		delete(bin, "index")
 	}
 	out, err := json.Marshal(state)
@@ -119,39 +117,7 @@ func TestLoadAuthenticatorRejectsV1Snapshot(t *testing.T) {
 	if auth != nil {
 		t.Error("rejected snapshot still returned a model")
 	}
-	if msg := err.Error(); !strings.Contains(msg, "version 1") || !strings.Contains(msg, "want 2") {
+	if msg := err.Error(); !strings.Contains(msg, "version 1") || !strings.Contains(msg, "want 3") {
 		t.Errorf("error %q does not name both format versions", msg)
-	}
-}
-
-// TestLoadSnapshotWithWorkersKey checks that a snapshot written while
-// features.Config still had its Workers field — the same JSON with a
-// "Workers":0 key in both copies of the feature config — loads, and saves
-// back to exactly today's bytes.
-func TestLoadSnapshotWithWorkersKey(t *testing.T) {
-	enroll, _ := synthRoster(3, 4, 0, 5)
-	auth, err := core.TrainAuthenticator(context.Background(), cheapAuthConfig(), enroll)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := auth.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	now := buf.String()
-	old := strings.ReplaceAll(now, `"Standardize":false}`, `"Standardize":false,"Workers":0}`)
-	if n := strings.Count(old, `"Workers":0`); n != 2 {
-		t.Fatalf("%d Workers keys planted, want 2", n)
-	}
-	loaded, err := core.LoadAuthenticator(strings.NewReader(old))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var again bytes.Buffer
-	if err := loaded.Save(&again); err != nil {
-		t.Fatal(err)
-	}
-	if again.String() != now {
-		t.Error("snapshot with a Workers key does not save back to the same bytes")
 	}
 }

@@ -16,8 +16,8 @@ import (
 )
 
 // writeV1Model trains a small model on synthetic images, rewrites its
-// snapshot into the version 1 shape (no config, no per-bin kernel width,
-// embeddings or index) and writes it to a file, as an old -model file.
+// snapshot into the version 1 shape (no config, no per-bin kernel width
+// or index) and writes it to a file, as an old -model file.
 func writeV1Model(t *testing.T) string {
 	t.Helper()
 	cfg := core.DefaultAuthConfig()
@@ -54,7 +54,6 @@ func writeV1Model(t *testing.T) string {
 	for _, b := range state["bins"].(map[string]any) {
 		bin := b.(map[string]any)
 		delete(bin, "gamma")
-		delete(bin, "embeds")
 		delete(bin, "index")
 	}
 	data, err := json.Marshal(state)
@@ -82,7 +81,7 @@ func TestLoadModelRejectsV1Snapshot(t *testing.T) {
 	if err == nil {
 		t.Fatal("version 1 model loaded")
 	}
-	if msg := err.Error(); !strings.Contains(msg, "version 1") || !strings.Contains(msg, "want 2") {
+	if msg := err.Error(); !strings.Contains(msg, "version 1") || !strings.Contains(msg, "want 3") {
 		t.Errorf("error %q does not name both format versions", msg)
 	}
 	if st := srv.Status(); st.Trained || st.ModelVersion != 0 {

@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"echoimage/internal/body"
-	"echoimage/internal/embed"
 	"echoimage/internal/index"
 )
 
@@ -134,7 +133,7 @@ func RunScaleID(cfg ScaleIDConfig) (*ScaleIDResult, error) {
 		for s := 0; s < cfg.PerUser; s++ {
 			jitter(noisy, tmpl, cfg.WithinJitter, rng)
 			lift(lifted, basis, noisy)
-			q = embed.Project(q, lifted)
+			q = index.Project(q, lifted)
 			if err := ann.Add(len(rowUser), q); err != nil {
 				return nil, fmt.Errorf("experiments: index enrollee %d: %w", u, err)
 			}
@@ -164,7 +163,7 @@ func RunScaleID(cfg ScaleIDConfig) (*ScaleIDResult, error) {
 		rng = rand.New(rand.NewSource(rng.Int63() ^ 0x5ca1e)) // probe, not enrollment, draw
 		jitter(noisy, tmpl, cfg.WithinJitter, rng)
 		lift(lifted, basis, noisy)
-		probes[i] = embed.Project(nil, lifted)
+		probes[i] = index.Project(nil, lifted)
 		probeUser[i] = u
 	}
 

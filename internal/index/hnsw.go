@@ -1,8 +1,8 @@
 // Package index implements a pure-Go HNSW (hierarchical navigable small
 // world) approximate-nearest-neighbour index over float32 vectors, ranked
-// by cosine distance (vectors are expected L2-normalized, as produced by
-// internal/embed). It exists so identification can shortlist candidate
-// users in O(log n) instead of scanning every per-user model.
+// by cosine distance over L2-normalized vectors (see Project). It exists
+// so identification can shortlist candidate users in O(log n) instead of
+// scanning every per-user model.
 //
 // Construction is deterministic: node levels are drawn from a seeded
 // counter-based generator, so the same insertion sequence always builds
@@ -94,14 +94,11 @@ func New(dim int, cfg Config) (*Index, error) {
 	return ix, nil
 }
 
-// Dim returns the vector dimension.
-func (ix *Index) Dim() int { return ix.dim }
-
 // Len returns the number of indexed vectors.
 func (ix *Index) Len() int { return len(ix.ids) }
 
-// Config returns the effective configuration.
-func (ix *Index) Config() Config { return ix.cfg }
+// ID returns the caller-assigned ID of node n, in insertion order.
+func (ix *Index) ID(n int) int { return int(ix.ids[n]) }
 
 // splitmix64 is the counter-based generator behind the level draws:
 // stateless given (seed, counter), which is what keeps construction
@@ -120,6 +117,31 @@ func (ix *Index) nextLevel() int32 {
 	// Map to (0,1]; avoid 0 so the log is finite.
 	u := (float64(h>>11) + 1) / (1 << 53)
 	return int32(-math.Log(u) * ix.mult)
+}
+
+// Project converts a float64 feature vector into the L2-normalized
+// float32 vector the index ranks by, writing into dst when it has
+// capacity (dst may be nil). The returned slice has len(x). A zero vector
+// projects to zeros rather than NaN, so degenerate inputs stay
+// comparable.
+func Project(dst []float32, x []float64) []float32 {
+	if cap(dst) < len(x) {
+		dst = make([]float32, len(x))
+	}
+	dst = dst[:len(x)]
+	var sum float64
+	for _, v := range x {
+		sum += v * v
+	}
+	if sum <= 0 {
+		clear(dst)
+		return dst
+	}
+	inv := 1 / math.Sqrt(sum)
+	for i, v := range x {
+		dst[i] = float32(v * inv)
+	}
+	return dst
 }
 
 func (ix *Index) vec(n int32) []float32 {
@@ -445,21 +467,10 @@ func sortItems(items []heapItem) {
 // Search returns the approximate k nearest neighbours of q, ascending by
 // cosine distance. The beam width is max(Config.EfSearch, k).
 func (ix *Index) Search(q []float32, k int) []Result {
-	return ix.SearchEf(q, k, 0)
-}
-
-// SearchEf is Search with an explicit beam width ef (0 means the
-// configured default); larger ef trades latency for recall.
-func (ix *Index) SearchEf(q []float32, k int, ef int) []Result {
 	if k <= 0 || len(ix.ids) == 0 || len(q) != ix.dim {
 		return nil
 	}
-	if ef <= 0 {
-		ef = ix.cfg.EfSearch
-	}
-	if ef < k {
-		ef = k
-	}
+	ef := max(ix.cfg.EfSearch, k)
 	sc := ix.getScratch()
 	defer ix.scratch.Put(sc)
 	ep := ix.entry

@@ -2,8 +2,11 @@ package index
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"math/rand"
+	"runtime"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -220,6 +223,100 @@ func TestUnmarshalRejectsCorrupt(t *testing.T) {
 	bad[1] = 'Z'
 	if _, err := Unmarshal(bad); err == nil {
 		t.Fatal("bad magic accepted")
+	}
+}
+
+// TestUnmarshalHugeHeaderAllocatesNothing feeds a bare header that claims
+// 2^30 nodes: Unmarshal must reject it from the byte count alone, before
+// allocating node storage the blob cannot back.
+func TestUnmarshalHugeHeaderAllocatesNothing(t *testing.T) {
+	ix, _ := buildRandom(t, 1, 4, 2)
+	b, err := ix.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	hdr := append([]byte(nil), b[:headerLen]...)
+	binary.LittleEndian.PutUint32(hdr[headerLen-20:], 1<<30) // node count
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err = Unmarshal(hdr)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("header claiming 2^30 nodes accepted")
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+		t.Fatalf("rejecting the header allocated %d bytes", grew)
+	}
+}
+
+// TestIDsDoNotShapeTheGraph adds the same vectors under two different ID
+// assignments: construction breaks ties on node order, never on the
+// caller's ID, so both build the same graph.
+func TestIDsDoNotShapeTheGraph(t *testing.T) {
+	const n, dim = 300, 16
+	a, err := New(dim, Config{Seed: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := New(dim, Config{Seed: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(4))
+	for i := 0; i < n; i++ {
+		v := randomUnit(rng, dim)
+		if err := a.Add(i, v); err != nil {
+			t.Fatal(err)
+		}
+		if err := b.Add(1+i%7, v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !slices.Equal(a.levels, b.levels) || a.entry != b.entry || a.maxLevel != b.maxLevel {
+		t.Fatalf("levels/entry/max level differ: entry %d vs %d, max %d vs %d", a.entry, b.entry, a.maxLevel, b.maxLevel)
+	}
+	for i := range a.links {
+		if !slices.EqualFunc(a.links[i], b.links[i], slices.Equal) {
+			t.Fatalf("node %d links %v vs %v", i, a.links[i], b.links[i])
+		}
+	}
+}
+
+func TestProjectNormalizes(t *testing.T) {
+	v := Project(nil, []float64{3, 4, 0})
+	if len(v) != 3 {
+		t.Fatalf("len %d", len(v))
+	}
+	var sum float64
+	for _, f := range v {
+		sum += float64(f) * float64(f)
+	}
+	if math.Abs(sum-1) > 1e-6 {
+		t.Fatalf("norm² %v, want 1", sum)
+	}
+	if math.Abs(float64(v[0])-0.6) > 1e-6 || math.Abs(float64(v[1])-0.8) > 1e-6 {
+		t.Fatalf("got %v", v)
+	}
+}
+
+func TestProjectZeroVector(t *testing.T) {
+	dst := []float32{5, 5}
+	v := Project(dst, []float64{0, 0})
+	for _, f := range v {
+		if f != 0 {
+			t.Fatalf("zero input projected to %v", v)
+		}
+	}
+}
+
+func TestProjectReusesDst(t *testing.T) {
+	dst := make([]float32, 8)
+	v := Project(dst, []float64{1, 2, 3})
+	if &v[0] != &dst[0] {
+		t.Fatal("Project allocated despite sufficient dst capacity")
+	}
+	if len(v) != 3 {
+		t.Fatalf("len %d", len(v))
 	}
 }
 

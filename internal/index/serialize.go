@@ -14,12 +14,13 @@ import (
 const (
 	idxMagic   = "EIHX"
 	idxVersion = 1
+	headerLen  = 50 // magic through the level-generator counter
 )
 
 // MarshalBinary implements a deterministic stable serialization.
 func (ix *Index) MarshalBinary() ([]byte, error) {
 	n := len(ix.ids)
-	out := make([]byte, 0, 64+12*n+4*len(ix.vecs))
+	out := make([]byte, 0, headerLen+12*n+4*len(ix.vecs))
 	out = append(out, idxMagic...)
 	out = binary.LittleEndian.AppendUint16(out, idxVersion)
 	out = binary.LittleEndian.AppendUint32(out, uint32(ix.cfg.M))
@@ -56,6 +57,9 @@ type reader struct {
 	b   []byte
 	off int
 }
+
+// left returns the number of unread bytes.
+func (r *reader) left() int { return len(r.b) - r.off }
 
 func (r *reader) u16() (uint16, error) {
 	if r.off+2 > len(r.b) {
@@ -118,8 +122,8 @@ func Unmarshal(b []byte) (*Index, error) {
 		return nil, err
 	}
 	cfg.M, cfg.EfConstruction, cfg.EfSearch, cfg.Seed = int(m), int(efc), int(efs), int64(seed)
-	if cfg.M <= 0 || cfg.EfConstruction <= 0 || cfg.EfSearch <= 0 {
-		return nil, fmt.Errorf("index: invalid config (M %d, efc %d, efs %d)", cfg.M, cfg.EfConstruction, cfg.EfSearch)
+	if cfg.M <= 0 || cfg.EfConstruction <= 0 || cfg.EfSearch <= 0 || cfg.Seed == 0 {
+		return nil, fmt.Errorf("index: invalid config (M %d, efc %d, efs %d, seed %d)", cfg.M, cfg.EfConstruction, cfg.EfSearch, cfg.Seed)
 	}
 	dim, err := r.u32()
 	if err != nil {
@@ -151,8 +155,8 @@ func Unmarshal(b []byte) (*Index, error) {
 	ix.rngN = rngN
 	n := int(count)
 	if n == 0 {
-		if int32(entry) != -1 {
-			return nil, fmt.Errorf("index: empty index with entry %d", int32(entry))
+		if int32(entry) != -1 || maxLevel != 0 {
+			return nil, fmt.Errorf("index: empty index with entry %d, max level %d", int32(entry), maxLevel)
 		}
 		if r.off != len(b) {
 			return nil, fmt.Errorf("index: %d trailing bytes", len(b)-r.off)
@@ -161,6 +165,12 @@ func Unmarshal(b []byte) (*Index, error) {
 	}
 	if int(entry) >= n {
 		return nil, fmt.Errorf("index: entry %d out of range (%d nodes)", entry, n)
+	}
+	// Every node needs at least its ID, level, one link count and its
+	// vector; check that against the bytes left before allocating, so a
+	// corrupt header cannot force an allocation the blob cannot back.
+	if need := uint64(n) * (8 + 4 + 4 + 4*uint64(dim)); need > uint64(r.left()) {
+		return nil, fmt.Errorf("index: %d nodes of dim %d need at least %d bytes, %d left", n, dim, need, r.left())
 	}
 	ix.entry = int32(entry)
 	ix.maxLevel = int32(maxLevel)
@@ -188,6 +198,9 @@ func Unmarshal(b []byte) (*Index, error) {
 	}
 	ix.links = make([][][]int32, n)
 	for i := 0; i < n; i++ {
+		if 4*(int(ix.levels[i])+1) > r.left() {
+			return nil, fmt.Errorf("index: truncated blob at node %d's %d levels", i, ix.levels[i]+1)
+		}
 		lv := make([][]int32, ix.levels[i]+1)
 		for l := range lv {
 			cnt, err := r.u32()
@@ -196,6 +209,9 @@ func Unmarshal(b []byte) (*Index, error) {
 			}
 			if int(cnt) > 2*cfg.M {
 				return nil, fmt.Errorf("index: node %d level %d has %d links (max %d)", i, l, cnt, 2*cfg.M)
+			}
+			if 4*int(cnt) > r.left() {
+				return nil, fmt.Errorf("index: truncated blob at node %d level %d's %d links", i, l, cnt)
 			}
 			ls := make([]int32, cnt)
 			for j := range ls {

@@ -412,6 +412,10 @@ func (r *Registry) worker() {
 				Extended:      extended,
 				IndexSize:     auth.IndexSize(),
 			}
+			// Metrics first, so a caller that sees the new snapshot also
+			// sees its version and train time.
+			r.met.trainSeconds.ObserveDuration(elapsed)
+			r.met.modelVersion.Set(int64(info.Version))
 			r.model.Store(&Snapshot{Auth: auth, Info: info})
 			r.trainedCounts = make(map[int]int, len(snap))
 			for id, imgs := range snap {
@@ -423,8 +427,6 @@ func (r *Registry) worker() {
 			r.lastErr = nil
 			notify := r.takeWaitersLocked(gen)
 			r.mu.Unlock()
-			r.met.trainSeconds.ObserveDuration(elapsed)
-			r.met.modelVersion.Set(int64(info.Version))
 
 			how := "trained"
 			if extended {
