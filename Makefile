@@ -138,15 +138,18 @@ cluster-smoke:
 	echo "cluster-smoke: ok"
 
 # Short fuzz runs over the protocol frame reader, the sample block
-# decoders and the model snapshot's index decoder: proves Read,
-# UnmarshalText and index.Unmarshal never panic on adversarial bytes,
-# accepted frames round-trip, accepted blocks re-encode to identical text,
-# and an accepted index re-marshals to its input bytes and searches
-# without panicking. The corpus grows under $GOCACHE/fuzz across runs.
+# decoders, the model snapshot's index decoder and the FFT's length
+# dispatch: proves Read, UnmarshalText and index.Unmarshal never panic on
+# adversarial bytes, accepted frames round-trip, accepted blocks re-encode
+# to identical text, an accepted index re-marshals to its input bytes and
+# searches without panicking, and every FFT length up to 4,096 agrees
+# with Bluestein and round-trips through the inverse. The corpus grows
+# under $GOCACHE/fuzz across runs.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz=FuzzRead -fuzztime=10s -fuzzminimizetime=1s ./internal/proto
 	$(GO) test -run '^$$' -fuzz=FuzzCaptureWire -fuzztime=10s -fuzzminimizetime=1s ./internal/proto
 	$(GO) test -run '^$$' -fuzz=FuzzIndexUnmarshal -fuzztime=10s -fuzzminimizetime=1s ./internal/index
+	$(GO) test -run '^$$' -fuzz=FuzzFFTLength -fuzztime=10s -fuzzminimizetime=1s ./internal/dsp
 
 # Architectural-invariant gate: the project's own analyzer suite
 # (internal/analysis; rule table in README.md, invariants in DESIGN.md),

@@ -606,6 +606,28 @@ func BenchmarkFFT4096(b *testing.B) {
 	}
 }
 
+// benchAnalytic measures dsp.AnalyticSignal on n Gaussian samples.
+func benchAnalytic(b *testing.B, n int) {
+	rng := rand.New(rand.NewSource(5))
+	x := make([]float64, n)
+	for i := range x {
+		x[i] = rng.NormFloat64()
+	}
+	b.ResetTimer()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		_ = dsp.AnalyticSignal(x)
+	}
+}
+
+// BenchmarkAnalyticSignal2640 measures analytic conversion of one beep
+// channel (half-length transform 1,320 = 2³·3·5·11).
+func BenchmarkAnalyticSignal2640(b *testing.B) { benchAnalytic(b, 2640) }
+
+// BenchmarkAnalyticSignal24000 measures analytic conversion of one
+// noise-only channel (half-length transform 12,000 = 2⁵·3·5³).
+func BenchmarkAnalyticSignal24000(b *testing.B) { benchAnalytic(b, 24000) }
+
 // BenchmarkBandpassFiltFilt measures zero-phase filtering of one beep
 // window.
 func BenchmarkBandpassFiltFilt(b *testing.B) {

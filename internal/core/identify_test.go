@@ -12,6 +12,7 @@ import (
 	"echoimage/internal/aimage"
 	"echoimage/internal/core"
 	"echoimage/internal/features"
+	"echoimage/internal/index"
 )
 
 // cheapAuthConfig is a small frozen extractor (16→8→4, 128 features) so
@@ -185,7 +186,8 @@ func TestPersistRoundTripByteIdentity(t *testing.T) {
 
 // TestPersistRejectsCorruptSnapshots mutates a valid snapshot — a
 // truncated or missing index blob, an index vector labelled with a user
-// the bin was not trained on, an older format version — and requires
+// the bin was not trained on, an index of another dimension, an older
+// format version — and requires
 // LoadAuthenticator to reject each.
 func TestPersistRejectsCorruptSnapshots(t *testing.T) {
 	enroll, _ := synthRoster(4, 4, 0, 5)
@@ -235,6 +237,24 @@ func TestPersistRejectsCorruptSnapshots(t *testing.T) {
 		"index label not in bin users": rewriteIndex(func(raw []byte) []byte {
 			binary.LittleEndian.PutUint64(raw[50:], 999)
 			return raw
+		}),
+		// A valid index over 3-dim vectors, labelled with the bin's own
+		// users: every search of it would return nothing.
+		"index of another dimension": eachBin(func(bin map[string]any) {
+			ix, err := index.New(3, index.Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, u := range bin["users"].([]any) {
+				if err := ix.Add(int(u.(float64)), []float32{1, float32(i), 0}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			raw, err := ix.MarshalBinary()
+			if err != nil {
+				t.Fatal(err)
+			}
+			bin["index"] = base64.StdEncoding.EncodeToString(raw)
 		}),
 		// A version 2 index carries row numbers, not users, as its IDs.
 		"v2 snapshot": func(state map[string]any) { state["version"] = 2 },

@@ -162,6 +162,11 @@ func LoadAuthenticator(r io.Reader) (*Authenticator, error) {
 		if err != nil {
 			return nil, fmt.Errorf("core: restore index (bin %d): %w", bin, err)
 		}
+		// The index searches the gate's (whitened) feature space; a blob
+		// of another dimension would answer every query with nothing.
+		if dim := len(bs.Gate.SupportVectors[0]); ann.Dim() != dim {
+			return nil, fmt.Errorf("core: bin %d index has dimension %d, its gate %d", bin, ann.Dim(), dim)
+		}
 		// Every indexed ID is a user the bin was trained on: an unknown
 		// ID would be identified and then gated by the pooled sphere.
 		for n := 0; n < ann.Len(); n++ {

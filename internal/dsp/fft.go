@@ -11,48 +11,51 @@ import (
 	"math/bits"
 )
 
-// FFT computes the in-place-free discrete Fourier transform of x and returns
-// a newly allocated slice. Power-of-two lengths use an iterative radix-2
-// Cooley-Tukey algorithm; other lengths fall back to Bluestein's algorithm.
-// The zero-length transform is the empty slice.
+// FFT computes the discrete Fourier transform of x into a newly allocated
+// slice, dispatching on the length as fftInPlace does. The zero-length
+// transform is the empty slice.
 func FFT(x []complex128) []complex128 {
-	n := len(x)
-	switch {
-	case n == 0:
+	if len(x) == 0 {
 		return nil
-	case n&(n-1) == 0:
-		out := make([]complex128, n)
-		copy(out, x)
-		fftRadix2(out, false)
-		return out
-	default:
-		return bluestein(x, false)
 	}
+	out := make([]complex128, len(x))
+	copy(out, x)
+	fftInPlace(out, false)
+	return out
 }
 
 // IFFT computes the inverse discrete Fourier transform of x, including the
 // 1/N normalization, and returns a newly allocated slice.
 func IFFT(x []complex128) []complex128 {
 	n := len(x)
-	switch {
-	case n == 0:
+	if n == 0 {
 		return nil
+	}
+	out := make([]complex128, n)
+	copy(out, x)
+	fftInPlace(out, true)
+	scale := complex(1/float64(n), 0)
+	for i := range out {
+		out[i] *= scale
+	}
+	return out
+}
+
+// fftInPlace runs the unscaled transform of z in place, choosing the
+// algorithm by length alone: the radix-2/4 kernel for powers of two, the
+// Stockham mixed-radix plan for lengths whose prime factors are all at
+// most maxRadix (the front end's 2·3·5·11 beep and noise lengths), and
+// Bluestein for the rest, where a large prime would make a direct
+// butterfly slower than the chirp-z convolution.
+func fftInPlace(z []complex128, inverse bool) {
+	n := len(z)
+	switch {
 	case n&(n-1) == 0:
-		out := make([]complex128, n)
-		copy(out, x)
-		fftRadix2(out, true)
-		scale := complex(1/float64(n), 0)
-		for i := range out {
-			out[i] *= scale
-		}
-		return out
+		fftRadix2(z, inverse)
+	case smooth(n):
+		mixedPlanFor(n, inverse).transform(z)
 	default:
-		out := bluestein(x, true)
-		scale := complex(1/float64(n), 0)
-		for i := range out {
-			out[i] *= scale
-		}
-		return out
+		bluesteinTo(z, z, inverse)
 	}
 }
 
@@ -127,20 +130,12 @@ func fftRadix2(x []complex128, inverse bool) {
 	}
 }
 
-// bluestein computes an arbitrary-length DFT via the chirp-z transform,
-// re-expressed as a power-of-two convolution. The chirp factors and the
-// spectrum of the (fixed, per-size) b sequence come from the plan cache, so
-// each call performs two radix-2 transforms over a pooled scratch buffer.
-func bluestein(x []complex128, inverse bool) []complex128 {
-	out := make([]complex128, len(x))
-	bluesteinTo(out, x, inverse)
-	return out
-}
-
-// bluesteinTo runs the chirp-z transform writing into out, which must have
-// the length of x and may alias it (x is fully consumed before out is
-// written). The in-place form lets the real-transform path run Bluestein
-// over pooled buffers without intermediate allocation.
+// bluesteinTo computes an arbitrary-length DFT via the chirp-z transform,
+// re-expressed as a power-of-two convolution, writing into out, which must
+// have the length of x and may alias it (x is fully consumed before out is
+// written). The chirp factors and the spectrum of the (fixed, per-size) b
+// sequence come from the plan cache, so each call performs two radix-2
+// transforms over a pooled scratch buffer.
 func bluesteinTo(out, x []complex128, inverse bool) {
 	n := len(x)
 	p := bluesteinPlanFor(n, inverse)

@@ -69,15 +69,16 @@ type bluesteinPlan struct {
 	scratch sync.Pool    // *[]complex128 of length m
 }
 
-type bluesteinKey struct {
+// planKey keys the per-direction plan caches (Bluestein, mixed radix).
+type planKey struct {
 	n       int
 	inverse bool
 }
 
-var bluesteinPlans sync.Map // bluesteinKey -> *bluesteinPlan
+var bluesteinPlans sync.Map // planKey -> *bluesteinPlan
 
 func bluesteinPlanFor(n int, inverse bool) *bluesteinPlan {
-	key := bluesteinKey{n, inverse}
+	key := planKey{n, inverse}
 	if v, ok := bluesteinPlans.Load(key); ok {
 		return v.(*bluesteinPlan)
 	}

@@ -83,9 +83,9 @@ func TestFFTPlanReuseMatchesFirstCall(t *testing.T) {
 	}
 }
 
-// TestFFTConcurrentPlanUse hammers the plan caches (radix-2 and Bluestein)
-// from many goroutines; run with -race to verify cache and scratch-pool
-// safety.
+// TestFFTConcurrentPlanUse hammers the plan caches (radix-2, mixed radix
+// and Bluestein) from many goroutines; run with -race to verify cache and
+// scratch-pool safety.
 func TestFFTConcurrentPlanUse(t *testing.T) {
 	sizes := []int{64, 100, 1024, 2640, 333}
 	inputs := make([][]complex128, len(sizes))

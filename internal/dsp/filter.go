@@ -129,7 +129,9 @@ func (f *SOSFilter) Stable() bool {
 
 // FiltFilt applies the cascade forward and backward for zero-phase
 // filtering, using reflected padding at both ends to suppress edge
-// transients. The output has the same length as the input.
+// transients. The output has the same length as the input; it is a
+// capacity-capped view into the padded work buffer, so an append to it
+// reallocates rather than writing into the padding.
 func (f *SOSFilter) FiltFilt(x []float64) []float64 {
 	n := len(x)
 	if n == 0 {
@@ -153,9 +155,7 @@ func (f *SOSFilter) FiltFilt(x []float64) []float64 {
 	reverse(ext)
 	f.filterInPlace(ext)
 	reverse(ext)
-	out := make([]float64, n)
-	copy(out, ext[pad:pad+n])
-	return out
+	return ext[pad : pad+n : pad+n]
 }
 
 func reverse(x []float64) {

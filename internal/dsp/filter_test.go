@@ -100,8 +100,8 @@ func TestFiltFiltZeroPhase(t *testing.T) {
 		x[center+i] = w * math.Sin(2*math.Pi*2500*ts)
 	}
 	y := f.FiltFilt(x)
-	if len(y) != n {
-		t.Fatalf("FiltFilt length %d != %d", len(y), n)
+	if len(y) != n || cap(y) != n {
+		t.Fatalf("FiltFilt length %d, capacity %d, want %d", len(y), cap(y), n)
 	}
 	env := Envelope(y)
 	peak := ArgMax(env)

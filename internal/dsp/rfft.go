@@ -12,8 +12,11 @@ import (
 // lengths run a true RFFT — the signal is packed into an n/2-point complex
 // transform and untangled with cached twiddles — which halves the dominant
 // transform cost of the pipeline (analytic conversion, matched filtering,
-// STFT, noise synthesis) relative to widening to complex128. Odd lengths
-// fall back to a full-length transform (Bluestein for non-powers of two)
+// STFT, noise synthesis) relative to widening to complex128. The n/2-point
+// transform goes through fftInPlace: radix-2/4 for powers of two, the
+// Stockham mixed-radix plan for the front end's 2,640- and 24,000-sample
+// signals (half lengths 2³·3·5·11 and 2⁵·3·5³), Bluestein only when n/2
+// has a prime factor above 13. Odd lengths fall back to a full-length FFT
 // and truncate; they only occur on cold paths.
 
 // rfftPlan caches what one even-length real transform needs: the untangling
@@ -71,17 +74,6 @@ func (p *rfftPlan) putSpec(b *[]complex128) { p.spec.Put(b) }
 func (p *rfftPlan) getPad() *[]float64      { return p.pad.Get().(*[]float64) }
 func (p *rfftPlan) putPad(b *[]float64)     { p.pad.Put(b) }
 
-// halfFFTInPlace transforms the half-length buffer in place (radix-2 for
-// powers of two, Bluestein otherwise, without inverse scaling).
-func halfFFTInPlace(z []complex128, inverse bool) {
-	h := len(z)
-	if h&(h-1) == 0 {
-		fftRadix2(z, inverse)
-		return
-	}
-	bluesteinTo(z, z, inverse)
-}
-
 // FFTReal computes the DFT of a real signal and returns the packed
 // one-sided spectrum: bins 0 through n/2 inclusive (length n/2+1 — DC up
 // to and including Nyquist for even n). The remaining bins of the full
@@ -118,8 +110,7 @@ func realFFTInto(out []complex128, x []float64) {
 		for i, v := range x {
 			cx[i] = complex(v, 0)
 		}
-		full := bluestein(cx, false)
-		copy(out, full[:n/2+1])
+		copy(out, FFT(cx)[:n/2+1])
 		return
 	}
 	p := rfftPlanFor(n)
@@ -129,7 +120,7 @@ func realFFTInto(out []complex128, x []float64) {
 	for k := 0; k < h; k++ {
 		z[k] = complex(x[2*k], x[2*k+1])
 	}
-	halfFFTInPlace(z, false)
+	fftInPlace(z, false)
 	// Untangle: with Ze/Zo the half-length DFTs of the even/odd samples,
 	// Z[k] = Ze[k] + i·Zo[k], so
 	//	Ze[k] = (Z[k] + conj(Z[h-k]))/2,  Zo[k] = -i·(Z[k] - conj(Z[h-k]))/2
@@ -234,7 +225,7 @@ func irfftHalfInto(z []complex128, spec []complex128, p *rfftPlan) {
 		xo *= twc
 		z[k] = xe + xo*complex(0, 1)
 	}
-	halfFFTInPlace(z, true)
+	fftInPlace(z, true)
 	scale := complex(1/float64(h), 0)
 	for k := range z {
 		z[k] *= scale

@@ -8,9 +8,10 @@ import (
 )
 
 // rfftSizes covers every code path of the real transforms: powers of two
-// (radix-2 half transform), even non-powers of two (Bluestein half
-// transform), odd lengths (full-length fallback) and the tiny edge cases.
-var rfftSizes = []int{1, 2, 4, 6, 8, 16, 64, 100, 256, 1000, 2640, 4096, 3, 5, 7, 37, 99, 2641}
+// (radix-2 half transform), even non-powers of two (mixed-radix half
+// transform, and Bluestein for 74 = 2·37), odd lengths (full-length
+// fallback) and the tiny edge cases.
+var rfftSizes = []int{1, 2, 4, 6, 8, 16, 64, 74, 100, 256, 1000, 2640, 4096, 3, 5, 7, 37, 99, 2641}
 
 // TestFFTRealMatchesFullFFT pins the packed RFFT against the complex FFT
 // reference path: FFTReal(x) must equal the first n/2+1 bins of FFT on the

@@ -97,6 +97,9 @@ func New(dim int, cfg Config) (*Index, error) {
 // Len returns the number of indexed vectors.
 func (ix *Index) Len() int { return len(ix.ids) }
 
+// Dim returns the dimension of the indexed vectors.
+func (ix *Index) Dim() int { return ix.dim }
+
 // ID returns the caller-assigned ID of node n, in insertion order.
 func (ix *Index) ID(n int) int { return int(ix.ids[n]) }
 
