@@ -8,6 +8,9 @@ import (
 	"echoimage/internal/aimage"
 )
 
+// raceEnabled is set by race_test.go when the race detector is on.
+var raceEnabled bool
+
 // TestExtractRepeatedCallsStable guards the scratch-buffer pool: repeated
 // and interleaved extractions must not leak state between calls.
 func TestExtractRepeatedCallsStable(t *testing.T) {
@@ -65,5 +68,25 @@ func TestExtractConcurrentCallers(t *testing.T) {
 	close(fail)
 	for g := range fail {
 		t.Errorf("goroutine %d observed corrupted features", g)
+	}
+}
+
+// TestExtractSteadyStateAllocs checks that a warm Extract allocates only
+// its resized input (image and pixels) and its output vector: the
+// workspace, padded input planes included, comes from the pool. The race
+// detector makes sync.Pool drop a share of its items on purpose, so the
+// count is checked only without it.
+func TestExtractSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under the race detector")
+	}
+	ext, err := NewExtractor(DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	img := randImage(rand.New(rand.NewSource(34)), 36, 36)
+	ext.Extract(img)
+	if a := testing.AllocsPerRun(50, func() { ext.Extract(img) }); a != 3 {
+		t.Errorf("Extract allocates %v times per image, want 3", a)
 	}
 }
