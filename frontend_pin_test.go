@@ -36,10 +36,18 @@ import (
 // its last bits (at most 3.4e-16 of the peak pixel, with the distance
 // estimate bit-identical), and the features and the model trained on
 // them follow.
+//
+// All three were re-recorded again when imaging became a windowed
+// quadratic form: a pixel's energy is wᴴRw with R taken from prefix sums
+// of x(t)x(t)ᴴ instead of a per-sample sum of |wᴴx(t)|², which rounds
+// differently. Every image changes in its last bits (at most 1.6e-14 of
+// the peak pixel, no pixel crossing the noise-floor clamp, the distance
+// estimate bit-identical), and the features and the model follow. No
+// decision in testdata/decisions.golden moved.
 const (
-	pinnedImagesSHA   = "8792db5a8322f88208ec26a4c8e0cd4628b879819b2147e2fa8d403fc958c18c"
-	pinnedFeaturesSHA = "1b4128004fe03964a601aa0ea427ceba760278e56db3e2d063a8af7c19f92fe8"
-	pinnedModelSHA    = "393f8aa2fde45ccfbe7addf2b02b94f0a508525c41572f6462c668c4664dfba6"
+	pinnedImagesSHA   = "2d90b561ad2dc3a01644f9ba8c7a8eff121e5629a94d87086e212c42bca10b5d"
+	pinnedFeaturesSHA = "ee463101c0652a704b606dc441630ada35d6f94371a2b26578178a27848977d6"
+	pinnedModelSHA    = "17a8ec783f8d4b0f55181ab8966af820d6a2f4ddd35cea5584fccc83ff353617"
 )
 
 // pinConfig is the CI-scale imaging grid: small enough for -race, large
@@ -97,7 +105,7 @@ func processPinCapture(t *testing.T, cfg echoimage.Config) *echoimage.ProcessRes
 // TestFrontEndBitsPinned hashes the images and feature vectors of one
 // fixed 12-beep capture (with background reference and noise-only
 // recording), and the snapshot of a model trained on a fixed small
-// enrollment, against hashes recorded with the mixed-radix front end.
+// enrollment, against hashes recorded with the quadratic-form imager.
 func TestFrontEndBitsPinned(t *testing.T) {
 	res := processPinCapture(t, pinConfig())
 	ih := sha256.New()

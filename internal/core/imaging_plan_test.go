@@ -96,6 +96,34 @@ func renderUnplanned(t *testing.T, cfg Config, fs float64, bf *beamform.Beamform
 	return ai
 }
 
+// renderPerSample is the per-sample reference for a plan's render: for
+// every pixel it integrates |wᴴ·x(t)|² sample by sample over the plan's
+// window, subtracts the expected beamformed noise floor and clamps at 0,
+// then normalizes as Render does.
+func renderPerSample(p *ImagingPlan, chans [][]complex128, refRMS, noisePower float64) *AcousticImage {
+	ai := p.newImage()
+	for k, wc := range p.weightsConj {
+		lo, hi := p.lo[k], p.hi[k]
+		var energy float64
+		if lo < hi {
+			for t := lo; t < hi; t++ {
+				var s complex128
+				for m := range chans {
+					s += wc[m] * chans[m][t]
+				}
+				energy += real(s)*real(s) + imag(s)*imag(s)
+			}
+			energy -= noisePower * p.wNormSq[k] * float64(hi-lo)
+			if energy < 0 {
+				energy = 0
+			}
+		}
+		ai.Pix[k] = math.Sqrt(energy)
+	}
+	p.normalize(chans, ai, refRMS)
+	return ai
+}
+
 // TestImagingPlanMatchesUnplannedRender is the plan-correctness property
 // test: rendering through the precomputed plan must agree with the
 // per-pixel solve-and-integrate reference within 1e-12 on every pixel.
@@ -124,30 +152,106 @@ func TestImagingPlanMatchesUnplannedRender(t *testing.T) {
 }
 
 // TestConstructAllMatchesPlanRender cross-checks the full pipeline path
-// (shared plan + batched pool) against individual plan renders.
+// (shared plan, one parallel task per beep) against individual plan
+// renders, for the full band alone and with two imaging sub-bands, whose
+// images are checked against renders through each sub-band's own plan.
 func TestConstructAllMatchesPlanRender(t *testing.T) {
+	for _, subBands := range []int{1, 2} {
+		t.Run(fmt.Sprintf("subbands=%d", subBands), func(t *testing.T) {
+			cfg, _, _, capd := planTestSetup(t)
+			cfg.ImagingSubBands = subBands
+			sys, err := NewSystem(cfg, array.ReSpeaker())
+			if err != nil {
+				t.Fatalf("system: %v", err)
+			}
+			const planeDist, emissionSec = 0.7, 0.005
+			imgs, err := sys.constructAll(context.Background(), capd, planeDist, emissionSec, nil, nil)
+			if err != nil {
+				t.Fatalf("construct: %v", err)
+			}
+			bands := []Config{cfg}
+			if subBands > 1 {
+				for b := 0; b < subBands; b++ {
+					bands = append(bands, subBandConfig(cfg, b))
+				}
+			}
+			for b, bcfg := range bands {
+				p, err := preprocess(bcfg, capd, nil)
+				if err != nil {
+					t.Fatalf("band %d preprocess: %v", b, err)
+				}
+				bf, err := beamform.New(array.ReSpeaker(), p.noiseCov, bcfg.CenterFreqHz())
+				if err != nil {
+					t.Fatalf("band %d beamformer: %v", b, err)
+				}
+				plan, err := NewImagingPlan(context.Background(), bcfg, bf, capd.SampleRate, p.samples, planeDist, emissionSec)
+				if err != nil {
+					t.Fatalf("band %d plan: %v", b, err)
+				}
+				for l, chans := range p.analytic {
+					want, err := plan.Render(chans, p.refRMS, p.noisePower)
+					if err != nil {
+						t.Fatalf("render: %v", err)
+					}
+					got := imgs[l].Image
+					if b > 0 {
+						if len(imgs[l].Bands) != subBands {
+							t.Fatalf("beep %d: %d sub-band images, want %d", l, len(imgs[l].Bands), subBands)
+						}
+						got = imgs[l].Bands[b-1]
+					}
+					for i := range got.Pix {
+						if d := math.Abs(got.Pix[i] - want.Pix[i]); d > 1e-12 {
+							t.Fatalf("band %d beep %d pixel %d: pipeline %g vs plan %g", b, l, i, got.Pix[i], want.Pix[i])
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestRenderWindowEdgesMatchPerSample renders through a plan whose
+// windows reach both ends of the beep — lo clamped to 0, hi clamped to
+// the sample count — and include empty ones, and checks every pixel
+// against the per-sample reference. The plan's emission time is early
+// and its channels are cut short, so the nearest pixels' windows end
+// before sample 0 and the farthest run past the last sample.
+func TestRenderWindowEdgesMatchPerSample(t *testing.T) {
 	cfg, p, bf, capd := planTestSetup(t)
-	sys, err := NewSystem(cfg, array.ReSpeaker())
-	if err != nil {
-		t.Fatalf("system: %v", err)
-	}
-	const planeDist, emissionSec = 0.7, 0.005
-	imgs, err := sys.constructAll(context.Background(), capd, planeDist, emissionSec, nil, nil)
-	if err != nil {
-		t.Fatalf("construct: %v", err)
-	}
-	plan, err := NewImagingPlan(context.Background(), cfg, bf, capd.SampleRate, p.samples, planeDist, emissionSec)
+	const samples = 100
+	plan, err := NewImagingPlan(context.Background(), cfg, bf, capd.SampleRate, samples, 0.7, -0.0055)
 	if err != nil {
 		t.Fatalf("plan: %v", err)
 	}
-	for l, chans := range p.analytic {
-		want, err := plan.Render(chans, p.refRMS, p.noisePower)
-		if err != nil {
-			t.Fatalf("render: %v", err)
+	var atStart, atEnd, empty int
+	for k, lo := range plan.lo {
+		hi := plan.hi[k]
+		switch {
+		case lo >= hi:
+			empty++
+		case lo == 0:
+			atStart++
+		case hi == samples:
+			atEnd++
 		}
-		for i := range imgs[l].Pix {
-			if d := math.Abs(imgs[l].Pix[i] - want.Pix[i]); d > 1e-12 {
-				t.Fatalf("beep %d pixel %d: pipeline %g vs plan %g", l, i, imgs[l].Pix[i], want.Pix[i])
+	}
+	if atStart == 0 || atEnd == 0 || empty == 0 {
+		t.Fatalf("windows: %d clamped at 0, %d at %d samples, %d empty; want some of each", atStart, atEnd, samples, empty)
+	}
+	for l, full := range p.analytic {
+		chans := make([][]complex128, len(full))
+		for m, ch := range full {
+			chans[m] = ch[:samples]
+		}
+		got, err := plan.Render(chans, p.refRMS, p.noisePower)
+		if err != nil {
+			t.Fatalf("render beep %d: %v", l, err)
+		}
+		want := renderPerSample(plan, chans, p.refRMS, p.noisePower)
+		for i := range got.Pix {
+			if d := math.Abs(got.Pix[i] - want.Pix[i]); d > 1e-12 {
+				t.Fatalf("beep %d pixel %d [%d, %d): quadratic form %g vs per-sample %g", l, i, plan.lo[i], plan.hi[i], got.Pix[i], want.Pix[i])
 			}
 		}
 	}
@@ -186,6 +290,92 @@ func TestImagingPlanConcurrentReuse(t *testing.T) {
 						errs <- fmt.Errorf("goroutine %d beep %d: pixel %d differs", g, l, i)
 						return
 					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+}
+
+// TestRenderPrefixBuffersNotShared runs both render paths at once from
+// many goroutines: Render on two plans whose prefix spans differ (so
+// pooled buffers are regrown and handed between them) and constructAll,
+// whose per-beep tasks take buffers from the same pool. Under -race this
+// shows that no two renders share a prefix buffer; every output must also
+// equal its sequential render bit for bit.
+func TestRenderPrefixBuffersNotShared(t *testing.T) {
+	cfg, p, bf, capd := planTestSetup(t)
+	sys, err := NewSystem(cfg, array.ReSpeaker())
+	if err != nil {
+		t.Fatalf("system: %v", err)
+	}
+	var plans []*ImagingPlan
+	for _, dist := range []float64{0.5, 1.1} {
+		plan, err := NewImagingPlan(context.Background(), cfg, bf, capd.SampleRate, p.samples, dist, 0.005)
+		if err != nil {
+			t.Fatalf("plan: %v", err)
+		}
+		plans = append(plans, plan)
+	}
+	if plans[0].end-plans[0].start == plans[1].end-plans[1].start {
+		t.Fatal("both plans have the same prefix span")
+	}
+	wants := make([][]*AcousticImage, len(plans))
+	for i, plan := range plans {
+		for _, chans := range p.analytic {
+			img, err := plan.Render(chans, 0, p.noisePower)
+			if err != nil {
+				t.Fatalf("render: %v", err)
+			}
+			wants[i] = append(wants[i], img)
+		}
+	}
+	wantAll, err := sys.constructAll(context.Background(), capd, 0.7, 0.005, nil, nil)
+	if err != nil {
+		t.Fatalf("construct: %v", err)
+	}
+	same := func(a, b *AcousticImage) bool {
+		for i := range a.Pix {
+			if math.Float64bits(a.Pix[i]) != math.Float64bits(b.Pix[i]) {
+				return false
+			}
+		}
+		return true
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, 8)
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for rep := 0; rep < 4; rep++ {
+				if g%4 == 3 {
+					imgs, err := sys.constructAll(context.Background(), capd, 0.7, 0.005, nil, nil)
+					if err != nil {
+						errs <- err
+						return
+					}
+					for l := range imgs {
+						if !same(imgs[l], wantAll[l]) {
+							errs <- fmt.Errorf("goroutine %d: constructAll beep %d differs", g, l)
+							return
+						}
+					}
+					continue
+				}
+				i, l := (g+rep)%len(plans), rep%len(p.analytic)
+				got, err := plans[i].Render(p.analytic[l], 0, p.noisePower)
+				if err != nil {
+					errs <- err
+					return
+				}
+				if !same(got, wants[i][l]) {
+					errs <- fmt.Errorf("goroutine %d: plan %d beep %d differs", g, i, l)
+					return
 				}
 			}
 		}(g)
