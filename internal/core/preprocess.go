@@ -77,11 +77,11 @@ func preprocess(cfg Config, cap *Capture, noiseOnly [][]float64) (*preprocessed,
 	for l := range fe.analytic {
 		fe.analytic[l] = make([][]complex128, mics)
 	}
-	// Each worker owns one background-subtraction scratch buffer for the
-	// whole call. Channel tasks cannot fail (shapes were validated above).
-	scratch := make([][]float64, runtime.GOMAXPROCS(0))
+	// Each worker owns one set of channel scratch buffers for the whole
+	// call. Channel tasks cannot fail (shapes were validated above).
+	scratch := make([]channelScratch, runtime.GOMAXPROCS(0))
 	_ = parallel(fe.tasks(), func(w, i int) error {
-		scratch[w] = fe.do(i, scratch[w])
+		fe.do(i, &scratch[w])
 		return nil
 	})
 
@@ -211,21 +211,30 @@ func (fe *frontEnd) tasks() int {
 	return len(fe.noise) + len(fe.ref) + len(fe.analytic)*fe.mics
 }
 
-// do runs task i and returns the (possibly grown) scratch buffer.
-func (fe *frontEnd) do(i int, scratch []float64) []float64 {
+// channelScratch is one worker's reusable channel buffers: sub holds a
+// background-subtracted beep channel and filt a bandpassed channel. Only
+// the analytic signal outlives a task, so each task may overwrite both.
+type channelScratch struct {
+	sub, filt []float64
+}
+
+// do runs task i using the worker's scratch buffers, growing them as
+// needed.
+func (fe *frontEnd) do(i int, sc *channelScratch) {
 	if i < len(fe.noise) {
-		fe.noise[i] = dsp.AnalyticSignal(fe.filter.FiltFilt(fe.noiseOnly[i]))
-		return scratch
+		sc.filt = fe.filter.FiltFilt(sc.filt, fe.noiseOnly[i])
+		fe.noise[i] = dsp.AnalyticSignal(sc.filt)
+		return
 	}
 	i -= len(fe.noise)
 	if i < len(fe.ref) {
-		filtered := fe.filter.FiltFilt(fe.cap.Reference[i])
-		fe.ref[i] = dsp.AnalyticSignal(filtered)
+		sc.filt = fe.filter.FiltFilt(sc.filt, fe.cap.Reference[i])
+		fe.ref[i] = dsp.AnalyticSignal(sc.filt)
 		if i == 0 {
-			env := dsp.Envelope(chirpFilterPlan(fe.cfg.Chirp).MatchedFilter(filtered))
+			env := dsp.Envelope(chirpFilterPlan(fe.cfg.Chirp).MatchedFilter(sc.filt))
 			fe.directIdx = dsp.ArgMax(env)
 		}
-		return scratch
+		return
 	}
 	i -= len(fe.ref)
 	l, m := i/fe.mics, i%fe.mics
@@ -238,14 +247,14 @@ func (fe *frontEnd) do(i int, scratch []float64) []float64 {
 		if len(ref) < n {
 			n = len(ref)
 		}
-		scratch = append(scratch[:0], src...)
+		sc.sub = append(sc.sub[:0], src...)
 		for t := 0; t < n; t++ {
-			scratch[t] -= ref[t]
+			sc.sub[t] -= ref[t]
 		}
-		src = scratch
+		src = sc.sub
 	}
-	fe.analytic[l][m] = dsp.AnalyticSignal(fe.filter.FiltFilt(src))
-	return scratch
+	sc.filt = fe.filter.FiltFilt(sc.filt, src)
+	fe.analytic[l][m] = dsp.AnalyticSignal(sc.filt)
 }
 
 // shrinkCovariance blends a normalized covariance toward identity in place:

@@ -61,7 +61,7 @@ func estimatedCovariance(t *testing.T, cfg Config, cap *Capture, noiseOnly [][]f
 		}
 		chans := make([][]complex128, len(noiseOnly))
 		for m, ch := range noiseOnly {
-			chans[m] = dsp.AnalyticSignal(filter.FiltFilt(ch))
+			chans[m] = dsp.AnalyticSignal(filter.FiltFilt(nil, ch))
 		}
 		cov, err := beamform.EstimateCovariance(chans, 0, len(chans[0]), cfg.CovLoading)
 		if err != nil {

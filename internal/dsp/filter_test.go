@@ -99,9 +99,9 @@ func TestFiltFiltZeroPhase(t *testing.T) {
 		w := 0.5 * (1 + math.Cos(math.Pi*float64(i)/200))
 		x[center+i] = w * math.Sin(2*math.Pi*2500*ts)
 	}
-	y := f.FiltFilt(x)
-	if len(y) != n || cap(y) != n {
-		t.Fatalf("FiltFilt length %d, capacity %d, want %d", len(y), cap(y), n)
+	y := f.FiltFilt(nil, x)
+	if len(y) != n {
+		t.Fatalf("FiltFilt length %d, want %d", len(y), n)
 	}
 	env := Envelope(y)
 	peak := ArgMax(env)
@@ -110,12 +110,49 @@ func TestFiltFiltZeroPhase(t *testing.T) {
 	}
 }
 
+// TestFiltFiltReusesDst checks that FiltFilt filters in dst's array when
+// it has room, allocating nothing, and that the output bits do not depend
+// on whether dst was fresh, reused after a longer or a shorter signal, or
+// holding stale samples.
+func TestFiltFiltReusesDst(t *testing.T) {
+	f, err := ButterworthBandpass(4, 2000, 3000, 48000)
+	if err != nil {
+		t.Fatalf("design: %v", err)
+	}
+	rng := rand.New(rand.NewSource(9))
+	long, short := make([]float64, 3000), make([]float64, 700)
+	for _, x := range [][]float64{long, short} {
+		for i := range x {
+			x[i] = rng.NormFloat64()
+		}
+	}
+	wantLong, wantShort := f.FiltFilt(nil, long), f.FiltFilt(nil, short)
+	dst := f.FiltFilt(nil, long)
+	for _, c := range []struct {
+		x, want []float64
+	}{{short, wantShort}, {long, wantLong}, {long, wantLong}, {short, wantShort}} {
+		prev := &dst[:1][0]
+		dst = f.FiltFilt(dst, c.x)
+		if &dst[0] != prev {
+			t.Fatalf("FiltFilt of %d samples reallocated a %d-capacity dst", len(c.x), cap(dst))
+		}
+		for i := range c.want {
+			if math.Float64bits(dst[i]) != math.Float64bits(c.want[i]) {
+				t.Fatalf("%d samples into a reused dst: sample %d is %v, want %v", len(c.x), i, dst[i], c.want[i])
+			}
+		}
+	}
+	if a := testing.AllocsPerRun(10, func() { dst = f.FiltFilt(dst, long) }); a != 0 {
+		t.Errorf("FiltFilt into a reused dst allocates %v times", a)
+	}
+}
+
 func TestFiltFiltEmpty(t *testing.T) {
 	f, err := ButterworthBandpass(2, 2000, 3000, 48000)
 	if err != nil {
 		t.Fatalf("design: %v", err)
 	}
-	if got := f.FiltFilt(nil); got != nil {
+	if got := f.FiltFilt(nil, nil); got != nil {
 		t.Errorf("FiltFilt(nil) = %v, want nil", got)
 	}
 }
